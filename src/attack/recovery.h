@@ -13,12 +13,16 @@
 // the rare POIs themselves; the adversary can do this for free since the
 // POI database is public. (DESIGN.md discusses this as the substitution
 // for the paper's 10,000-sample training runs.)
+//
+// All models train on one shared Gram matrix of the standardized training
+// rows, and recover() scores every model from one kernel row.
 #pragma once
 
 #include <span>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
+#include "ml/gram.h"
 #include "ml/svm.h"
 #include "poi/database.h"
 
@@ -51,6 +55,10 @@ class SanitizationRecovery {
   const std::vector<poi::TypeId>& sanitized_types() const noexcept {
     return sanitized_;
   }
+  /// Trained models, aligned with sanitized_types().
+  const std::vector<ml::SvmClassifier>& models() const noexcept {
+    return models_;
+  }
 
  private:
   std::vector<double> features_of(const poi::FrequencyVector& f) const;
@@ -60,6 +68,7 @@ class SanitizationRecovery {
   std::vector<bool> is_sanitized_;
   std::vector<poi::TypeId> visible_types_;
   ml::StandardScaler scaler_;
+  ml::KernelBasis basis_;  ///< the standardized training rows
   std::vector<ml::SvmClassifier> models_;  ///< one per sanitized type
   std::vector<double> accuracies_;
 };

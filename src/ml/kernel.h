@@ -15,6 +15,8 @@ struct KernelParams {
   /// RBF width. <= 0 means "scale": 1 / (n_features * feature_variance),
   /// matching scikit-learn's gamma='scale' on standardized inputs (~1/d).
   double gamma = -1.0;
+
+  bool operator==(const KernelParams&) const = default;
 };
 
 /// Resolves gamma='scale' for the given feature dimension.

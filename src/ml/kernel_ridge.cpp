@@ -52,35 +52,18 @@ void KernelRidge::train(const Matrix& x, std::span<const double> targets) {
   if (config_.lambda <= 0.0) {
     throw std::invalid_argument("kernel ridge: lambda must be > 0");
   }
-  if (n > 8000) {
-    throw std::invalid_argument(
-        "kernel ridge: training set too large for Gram cache");
-  }
-  gamma_ = effective_gamma(config_.kernel, x.cols());
-  train_x_ = x;
-  if (n == 0) {
-    alpha_.clear();
-    return;
-  }
-  std::vector<double> gram(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v =
-          kernel_value(config_.kernel, gamma_, x.row(i), x.row(j)) + 1.0;
-      gram[i * n + j] = v;
-      gram[j * n + i] = v;
-    }
-    gram[i * n + i] += config_.lambda;
-  }
-  alpha_ = cholesky_solve(gram, n, targets);
+  const GramMatrix gram(x, config_.kernel);
+  basis_ = gram.basis();
+  std::vector<double> a = gram.values();
+  for (std::size_t i = 0; i < n; ++i) a[i * n + i] += config_.lambda;
+  alpha_ = cholesky_solve(a, n, targets);
 }
 
 double KernelRidge::predict(std::span<const double> row) const {
+  std::vector<double> k_row(basis_.size());
+  basis_.kernel_row(row, k_row);
   double acc = 0.0;
-  for (std::size_t i = 0; i < train_x_.rows(); ++i) {
-    acc += alpha_[i] *
-           (kernel_value(config_.kernel, gamma_, train_x_.row(i), row) + 1.0);
-  }
+  for (std::size_t i = 0; i < k_row.size(); ++i) acc += alpha_[i] * k_row[i];
   return acc;
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "ml/dataset.h"
-#include "ml/kernel.h"
+#include "ml/gram.h"
 
 namespace poiprivacy::ml {
 
@@ -31,9 +31,8 @@ class KernelRidge {
 
  private:
   KernelRidgeConfig config_;
-  Matrix train_x_;
+  KernelBasis basis_;  ///< the training rows
   std::vector<double> alpha_;
-  double gamma_ = 1.0;
 };
 
 }  // namespace poiprivacy::ml

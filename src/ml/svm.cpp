@@ -7,37 +7,15 @@
 
 namespace poiprivacy::ml {
 
-namespace {
-
-constexpr std::size_t kMaxGramSamples = 8000;
-
-/// Precomputed Gram matrix with the +1 bias term folded in.
-std::vector<double> gram_plus_one(const Matrix& x, const KernelParams& params,
-                                  double gamma) {
-  const std::size_t n = x.rows();
-  if (n > kMaxGramSamples) {
-    throw std::invalid_argument("svm: training set too large for Gram cache");
-  }
-  std::vector<double> k(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v = kernel_value(params, gamma, x.row(i), x.row(j)) + 1.0;
-      k[i * n + j] = v;
-      k[j * n + i] = v;
-    }
-  }
-  return k;
-}
-
-}  // namespace
-
-void BinarySvm::train(const Matrix& x, std::span<const int> labels,
+void BinarySvm::train(const GramMatrix& gram, std::span<const int> labels,
                       const SvmConfig& config, common::Rng& rng) {
-  const std::size_t n = x.rows();
+  if (config.kernel != gram.basis().params()) {
+    throw std::invalid_argument("svm: Gram matrix built for another kernel");
+  }
+  const std::size_t n = gram.size();
   assert(labels.size() == n);
-  kernel_ = config.kernel;
-  gamma_ = effective_gamma(config.kernel, x.cols());
-  const std::vector<double> k = gram_plus_one(x, kernel_, gamma_);
+  basis_ = gram.basis();
+  const std::vector<double>& k = gram.values();
 
   std::vector<double> alpha(n, 0.0);
   std::vector<double> f(n, 0.0);  // f_i = sum_j alpha_j y_j k'(x_j, x_i)
@@ -74,27 +52,39 @@ void BinarySvm::train(const Matrix& x, std::span<const int> labels,
     if (max_violation < config.tolerance) break;
   }
 
-  sv_ = Matrix(0, 0);
+  sv_index_.clear();
   sv_coef_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (alpha[i] > 1e-12) {
-      sv_.push_row(x.row(i));
+      sv_index_.push_back(i);
       sv_coef_.push_back(alpha[i] * labels[i]);
     }
   }
 }
 
+void BinarySvm::train(const Matrix& x, std::span<const int> labels,
+                      const SvmConfig& config, common::Rng& rng) {
+  train(GramMatrix(x, config.kernel), labels, config, rng);
+}
+
 double BinarySvm::decision(std::span<const double> row) const {
+  std::vector<double> k_row(basis_.size());
+  basis_.kernel_row(row, k_row);
+  return decision_from_kernel(k_row);
+}
+
+double BinarySvm::decision_from_kernel(std::span<const double> k_row) const {
+  assert(k_row.size() == basis_.size());
   double acc = 0.0;
-  for (std::size_t i = 0; i < sv_.rows(); ++i) {
-    acc += sv_coef_[i] *
-           (kernel_value(kernel_, gamma_, sv_.row(i), row) + 1.0);
+  for (std::size_t s = 0; s < sv_index_.size(); ++s) {
+    acc += sv_coef_[s] * k_row[sv_index_[s]];
   }
   return acc;
 }
 
-void SvmClassifier::train(const Matrix& x, std::span<const int> labels,
+void SvmClassifier::train(const GramMatrix& gram, std::span<const int> labels,
                           common::Rng& rng) {
+  basis_ = gram.basis();
   classes_.assign(labels.begin(), labels.end());
   std::sort(classes_.begin(), classes_.end());
   classes_.erase(std::unique(classes_.begin(), classes_.end()),
@@ -112,21 +102,36 @@ void SvmClassifier::train(const Matrix& x, std::span<const int> labels,
       binary[i] = labels[i] == positive ? 1 : -1;
     }
     BinarySvm machine;
-    machine.train(x, binary, config_, rng);
+    machine.train(gram, binary, config_, rng);
     machines_.push_back(std::move(machine));
   }
 }
 
+void SvmClassifier::train(const Matrix& x, std::span<const int> labels,
+                          common::Rng& rng) {
+  train(GramMatrix(x, config_.kernel), labels, rng);
+}
+
 int SvmClassifier::predict(std::span<const double> row) const {
+  std::vector<double> k_row;
+  if (!machines_.empty()) {  // a constant classifier needs no kernel row
+    k_row.resize(basis_.size());
+    basis_.kernel_row(row, k_row);
+  }
+  return predict_from_kernel(k_row);
+}
+
+int SvmClassifier::predict_from_kernel(std::span<const double> k_row) const {
   if (classes_.empty()) return 0;
   if (classes_.size() == 1) return classes_[0];
   if (classes_.size() == 2) {
-    return machines_[0].decision(row) >= 0.0 ? classes_[0] : classes_[1];
+    return machines_[0].decision_from_kernel(k_row) >= 0.0 ? classes_[0]
+                                                           : classes_[1];
   }
   std::size_t best = 0;
-  double best_score = machines_[0].decision(row);
+  double best_score = machines_[0].decision_from_kernel(k_row);
   for (std::size_t m = 1; m < machines_.size(); ++m) {
-    const double score = machines_[m].decision(row);
+    const double score = machines_[m].decision_from_kernel(k_row);
     if (score > best_score) {
       best_score = score;
       best = m;

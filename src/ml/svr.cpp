@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
+
+#include "ml/gram.h"
 
 namespace poiprivacy::ml {
 
@@ -27,19 +28,8 @@ void Svr::train(const Matrix& x, std::span<const double> targets,
     sv_coef_.clear();
     return;
   }
-  if (n > 8000) {
-    throw std::invalid_argument("svr: training set too large for Gram cache");
-  }
-
-  std::vector<double> k(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v =
-          kernel_value(config_.kernel, gamma_, x.row(i), x.row(j)) + 1.0;
-      k[i * n + j] = v;
-      k[j * n + i] = v;
-    }
-  }
+  const GramMatrix gram(x, config_.kernel);
+  const std::vector<double>& k = gram.values();
 
   std::vector<double> beta(n, 0.0);
   std::vector<double> f(n, 0.0);  // f_i = sum_j beta_j k'(x_j, x_i)

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "common/rng.h"
 #include "defense/sanitizer.h"
 #include "poi/city_model.h"
+#include "svm_reference.h"
 #include "traj/generators.h"
 
 namespace poiprivacy::attack {
@@ -303,6 +305,177 @@ TEST(Recovery, ImprovesAttackOverSanitizedRelease) {
         reid.infer(recovery.recover(sanitized), 0.8), city.db, l, 0.8);
   }
   EXPECT_GE(recovered_success, sanitized_success);
+}
+
+/// Frozen port of SanitizationRecovery before the shared Gram matrix:
+/// the same corpora and scaler, but one reference classifier per type
+/// whose machines each build their own Gram matrix and evaluate the
+/// kernel per support vector.
+class ReferenceRecovery {
+ public:
+  ReferenceRecovery(const poi::PoiDatabase& db,
+                    std::span<const poi::TypeId> sanitized, double r,
+                    const RecoveryConfig& config, common::Rng& rng)
+      : sanitized_(sanitized.begin(), sanitized.end()) {
+    std::vector<bool> is_sanitized(db.num_types(), false);
+    for (const poi::TypeId t : sanitized_) is_sanitized[t] = true;
+    for (poi::TypeId t = 0; t < db.num_types(); ++t) {
+      if (!is_sanitized[t]) visible_.push_back(t);
+    }
+    const geo::BBox& b = db.bounds();
+    const auto random_location = [&] {
+      return geo::Point{rng.uniform(b.min_x, b.max_x),
+                        rng.uniform(b.min_y, b.max_y)};
+    };
+    std::vector<poi::FrequencyVector> train;
+    for (std::size_t i = 0; i < config.train_samples; ++i) {
+      train.push_back(db.freq(random_location(), r));
+    }
+    for (const poi::TypeId t : sanitized_) {
+      for (const poi::PoiId id : db.pois_of_type(t)) {
+        for (std::size_t s = 0; s < config.samples_per_rare_poi; ++s) {
+          const geo::Point jittered =
+              b.clamp({db.poi(id).pos.x + rng.normal(0.0, r / 2.0),
+                       db.poi(id).pos.y + rng.normal(0.0, r / 2.0)});
+          train.push_back(db.freq(jittered, r));
+        }
+      }
+    }
+    std::vector<poi::FrequencyVector> valid;
+    for (std::size_t i = 0; i < config.validation_samples; ++i) {
+      valid.push_back(db.freq(random_location(), r));
+    }
+    const ml::Matrix x_train = scaler_.fit_transform(visible_rows(train));
+    const ml::Matrix x_valid = scaler_.transform(visible_rows(valid));
+    std::vector<int> labels(train.size());
+    std::vector<int> valid_labels(valid.size());
+    for (const poi::TypeId t : sanitized_) {
+      for (std::size_t i = 0; i < train.size(); ++i) labels[i] = train[i][t];
+      ml::reference::SvmClassifier model(config.svm);
+      model.train(x_train, labels, rng);
+      std::vector<int> predicted;
+      for (std::size_t i = 0; i < valid.size(); ++i) {
+        valid_labels[i] = valid[i][t];
+        predicted.push_back(model.predict(x_valid.row(i)));
+      }
+      accuracies_.push_back(ml::accuracy(valid_labels, predicted));
+      models_.push_back(std::move(model));
+    }
+  }
+
+  /// The standardized visible entries the models score.
+  std::vector<double> features(const poi::FrequencyVector& f) const {
+    std::vector<double> row;
+    for (const poi::TypeId t : visible_) row.push_back(f[t]);
+    scaler_.transform_row(row);
+    return row;
+  }
+
+  poi::FrequencyVector recover(const poi::FrequencyVector& sanitized) const {
+    const std::vector<double> row = features(sanitized);
+    poi::FrequencyVector out = sanitized;
+    for (std::size_t m = 0; m < sanitized_.size(); ++m) {
+      out[sanitized_[m]] = std::max(0, models_[m].predict(row));
+    }
+    return out;
+  }
+
+  const std::vector<double>& accuracies() const { return accuracies_; }
+  const std::vector<ml::reference::SvmClassifier>& models() const {
+    return models_;
+  }
+
+ private:
+  ml::Matrix visible_rows(const std::vector<poi::FrequencyVector>& vecs) const {
+    ml::Matrix x(vecs.size(), visible_.size());
+    for (std::size_t i = 0; i < vecs.size(); ++i) {
+      for (std::size_t j = 0; j < visible_.size(); ++j) {
+        x.at(i, j) = vecs[i][visible_[j]];
+      }
+    }
+    return x;
+  }
+
+  std::vector<poi::TypeId> sanitized_;
+  std::vector<poi::TypeId> visible_;
+  ml::StandardScaler scaler_;
+  std::vector<ml::reference::SvmClassifier> models_;
+  std::vector<double> accuracies_;
+};
+
+/// Sanitized releases at n seeded locations.
+std::vector<poi::FrequencyVector> sanitized_releases(
+    const poi::City& city, const defense::Sanitizer& sanitizer, double r,
+    std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<poi::FrequencyVector> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Point l{rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)};
+    out.push_back(sanitizer.sanitize(city.db.freq(l, r)));
+  }
+  return out;
+}
+
+TEST(Recovery, RecoverMatchesPerSupportVectorReference) {
+  const poi::City city = make_city();
+  const defense::Sanitizer sanitizer(city.db, 10);
+  RecoveryConfig config;
+  config.train_samples = 150;
+  config.validation_samples = 40;
+  common::Rng rng(53);
+  const SanitizationRecovery recovery(
+      city.db, sanitizer.sanitized_types(), 0.8, config, rng);
+  common::Rng ref_rng(53);
+  const ReferenceRecovery reference(
+      city.db, sanitizer.sanitized_types(), 0.8, config, ref_rng);
+  // Both consumed the same random stream.
+  EXPECT_EQ(rng(), ref_rng());
+  EXPECT_EQ(recovery.validation_accuracies(), reference.accuracies());
+  std::size_t filled = 0;
+  for (const poi::FrequencyVector& sanitized :
+       sanitized_releases(city, sanitizer, 0.8, 200, 59)) {
+    const poi::FrequencyVector recovered = recovery.recover(sanitized);
+    ASSERT_EQ(recovered, reference.recover(sanitized));
+    // Every machine's decision value, bit for bit.
+    const std::vector<double> row = reference.features(sanitized);
+    for (std::size_t m = 0; m < recovery.models().size(); ++m) {
+      const auto& machines = recovery.models()[m].machines();
+      const auto& ref_machines = reference.models()[m].machines();
+      ASSERT_EQ(machines.size(), ref_machines.size());
+      for (std::size_t j = 0; j < machines.size(); ++j) {
+        ASSERT_EQ(machines[j].decision(row), ref_machines[j].decision(row));
+      }
+    }
+    for (const poi::TypeId t : sanitizer.sanitized_types()) {
+      filled += recovered[t] > 0 ? 1 : 0;
+    }
+  }
+  // The comparison covers models that predict non-zero counts.
+  EXPECT_GT(filled, 0u);
+}
+
+TEST(Recovery, CopiedAndMovedRecoveriesRecoverIdentically) {
+  const poi::City city = make_city();
+  const defense::Sanitizer sanitizer(city.db, 10);
+  RecoveryConfig config;
+  config.train_samples = 120;
+  config.validation_samples = 30;
+  common::Rng rng(61);
+  auto original = std::make_unique<SanitizationRecovery>(
+      city.db, sanitizer.sanitized_types(), 0.8, config, rng);
+  const std::vector<poi::FrequencyVector> releases =
+      sanitized_releases(city, sanitizer, 0.8, 50, 67);
+  std::vector<poi::FrequencyVector> expected;
+  for (const auto& f : releases) expected.push_back(original->recover(f));
+
+  const SanitizationRecovery copy = *original;
+  SanitizationRecovery moved_from = *original;
+  const SanitizationRecovery moved = std::move(moved_from);
+  original.reset();  // the copies must not depend on the original
+  for (std::size_t i = 0; i < releases.size(); ++i) {
+    EXPECT_EQ(copy.recover(releases[i]), expected[i]);
+    EXPECT_EQ(moved.recover(releases[i]), expected[i]);
+  }
 }
 
 TEST(TrajectoryAttack, RegressorLearnsDistance) {

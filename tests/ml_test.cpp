@@ -1,12 +1,16 @@
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
+#include "ml/gram.h"
 #include "ml/kernel.h"
 #include "ml/svm.h"
 #include "ml/svr.h"
+#include "svm_reference.h"
 
 namespace poiprivacy::ml {
 namespace {
@@ -221,6 +225,137 @@ TEST(SvmClassifier, DeterministicGivenSeed) {
   b.train(x, labels, rng_b);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_EQ(a.predict(x.row(i)), b.predict(x.row(i)));
+  }
+}
+
+Matrix gaussian_rows(common::Rng& rng, std::size_t n, std::size_t d) {
+  Matrix x(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) x.at(i, j) = rng.normal(0.0, 1.0);
+  }
+  return x;
+}
+
+TEST(GramMatrix, EntriesAndKernelRowMatchKernelValue) {
+  common::Rng rng(31);
+  const Matrix x = gaussian_rows(rng, 40, 5);
+  const Matrix probes = gaussian_rows(rng, 6, 5);
+  for (const KernelParams params :
+       {KernelParams{KernelKind::kRbf, -1.0},
+        KernelParams{KernelKind::kRbf, 0.7},
+        KernelParams{KernelKind::kLinear, -1.0}}) {
+    const GramMatrix gram(x, params);
+    const double gamma = effective_gamma(params, x.cols());
+    ASSERT_EQ(gram.size(), x.rows());
+    ASSERT_EQ(gram.values().size(), x.rows() * x.rows());
+    EXPECT_EQ(gram.basis().gamma(), gamma);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < x.rows(); ++j) {
+        // Bit-equal: the builder calls kernel_value(x_i, x_j) for i <= j
+        // and mirrors it.
+        const std::size_t lo = std::min(i, j);
+        const std::size_t hi = std::max(i, j);
+        EXPECT_EQ(gram.values()[i * x.rows() + j],
+                  kernel_value(params, gamma, x.row(lo), x.row(hi)) + 1.0);
+      }
+    }
+    std::vector<double> k_row(gram.size());
+    for (std::size_t p = 0; p < probes.rows(); ++p) {
+      gram.kernel_row(probes.row(p), k_row);
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        EXPECT_EQ(k_row[i],
+                  kernel_value(params, gamma, x.row(i), probes.row(p)) + 1.0);
+      }
+    }
+    // A training row's kernel row is its Gram row.
+    gram.kernel_row(x.row(3), k_row);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      EXPECT_EQ(k_row[i], gram.values()[3 * x.rows() + i]);
+    }
+  }
+}
+
+TEST(GramMatrix, RejectsTrainingSetsBeyondTheCap) {
+  const Matrix x(GramMatrix::kMaxSamples + 1, 1);
+  EXPECT_THROW(GramMatrix(x, KernelParams{}), std::invalid_argument);
+}
+
+TEST(BinarySvm, RejectsGramBuiltForAnotherKernel) {
+  common::Rng rng(33);
+  std::vector<int> labels;
+  const Matrix x = blob_data(rng, labels, 20, 2.0);
+  const GramMatrix gram(x, KernelParams{KernelKind::kLinear, -1.0});
+  BinarySvm svm;
+  EXPECT_THROW(svm.train(gram, labels, SvmConfig{}, rng),
+               std::invalid_argument);
+}
+
+/// Four angular blobs with arbitrary label values.
+Matrix multi_class_blobs(common::Rng& rng, std::vector<int>& labels,
+                         std::size_t n) {
+  const int k = 4;
+  Matrix x(n, 2);
+  labels.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int label = static_cast<int>(rng.uniform_int(0, k - 1));
+    labels[i] = label * 10;
+    const double angle = 2.0 * M_PI * label / k;
+    x.at(i, 0) = 3.0 * std::cos(angle) + rng.normal(0.0, 1.2);
+    x.at(i, 1) = 3.0 * std::sin(angle) + rng.normal(0.0, 1.2);
+  }
+  return x;
+}
+
+TEST(SvmClassifier, SharedGramMatchesPerMachineReference) {
+  common::Rng data_rng(37);
+  std::vector<int> labels;
+  const Matrix x = multi_class_blobs(data_rng, labels, 300);
+  std::vector<int> test_labels;
+  const Matrix x_test = multi_class_blobs(data_rng, test_labels, 100);
+  // A second, two-class task on the same rows: the Gram matrix is shared
+  // by two classifiers (5 machines), the reference builds it per machine.
+  std::vector<int> binary_labels(labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    binary_labels[i] = labels[i] >= 20 ? 7 : 3;
+  }
+
+  for (const KernelKind kind : {KernelKind::kRbf, KernelKind::kLinear}) {
+    SvmConfig config;
+    config.kernel.kind = kind;
+    common::Rng rng(41);
+    const GramMatrix gram(x, config.kernel);
+    SvmClassifier multi(config);
+    SvmClassifier binary(config);
+    multi.train(gram, labels, rng);
+    binary.train(gram, binary_labels, rng);
+
+    common::Rng ref_rng(41);
+    reference::SvmClassifier ref_multi(config);
+    reference::SvmClassifier ref_binary(config);
+    ref_multi.train(x, labels, ref_rng);
+    ref_binary.train(x, binary_labels, ref_rng);
+
+    const std::pair<const SvmClassifier*, const reference::SvmClassifier*>
+        pairs[] = {{&multi, &ref_multi}, {&binary, &ref_binary}};
+    for (const auto& [clf, ref] : pairs) {
+      ASSERT_EQ(clf->machines().size(), ref->machines().size());
+      for (std::size_t m = 0; m < clf->machines().size(); ++m) {
+        EXPECT_EQ(clf->machines()[m].num_support_vectors(),
+                  ref->machines()[m].num_support_vectors());
+      }
+      std::vector<double> k_row(gram.size());
+      for (std::size_t i = 0; i < x_test.rows(); ++i) {
+        gram.kernel_row(x_test.row(i), k_row);
+        for (std::size_t m = 0; m < clf->machines().size(); ++m) {
+          const double expected = ref->machines()[m].decision(x_test.row(i));
+          EXPECT_EQ(clf->machines()[m].decision(x_test.row(i)), expected);
+          EXPECT_EQ(clf->machines()[m].decision_from_kernel(k_row), expected);
+        }
+        EXPECT_EQ(clf->predict(x_test.row(i)), ref->predict(x_test.row(i)));
+        EXPECT_EQ(clf->predict_from_kernel(k_row),
+                  ref->predict(x_test.row(i)));
+      }
+    }
   }
 }
 

@@ -274,6 +274,16 @@ TEST(CalibratedCounts, TailHasSingletonsAtExponentOne) {
   EXPECT_GT(singletons, 20);
 }
 
+}  // namespace
+
+// Prints a preset by name. gtest's default printer dumps the raw bytes of the
+// object, heap pointer of `name` included, and the discovered test names are
+// built from that print, so they changed from one build to the next.
+// Declared outside the anonymous namespace so argument-dependent lookup finds it.
+void PrintTo(const CityPreset& preset, std::ostream* os) { *os << preset.name; }
+
+namespace {
+
 class CityPresetTest
     : public ::testing::TestWithParam<std::pair<CityPreset, std::size_t>> {};
 
