@@ -1,9 +1,7 @@
 // poibench — the single driver over the scenario catalog.
 //
 //   poibench --list                      catalog with one line per scenario
-//   poibench --scenario NAME [flags...]  run one scenario (same flags as the
-//                                        historical standalone binary; also
-//                                        `poibench NAME [flags...]`)
+//   poibench --scenario NAME [flags...]  run one scenario with its flags
 //   poibench --all [--smoke] [flags...]  run every deterministic scenario in
 //                                        registration order; --smoke uses
 //                                        each scenario's pinned tiny-city
@@ -32,7 +30,7 @@ using poiprivacy::eval::ScenarioRegistry;
 void print_usage(std::FILE* out) {
   std::fputs(
       "usage: poibench --list\n"
-      "       poibench --scenario NAME [flags...]   (or: poibench NAME ...)\n"
+      "       poibench --scenario NAME [flags...]\n"
       "       poibench --all [--smoke] [flags...]\n"
       "       poibench --help\n"
       "\n"
@@ -113,15 +111,8 @@ int main(int argc, char** argv) {
     return poiprivacy::bench::run_scenario_main(
         argv[2], static_cast<int>(argv_run.size()), argv_run.data());
   }
-  if (mode.rfind("--", 0) == 0) {
-    std::fprintf(stderr, "poibench: unknown mode %s\n\n",
-                 std::string(mode).c_str());
-    print_usage(stderr);
-    return 2;
-  }
-  // Bare scenario name shorthand.
-  std::vector<const char*> argv_run{argv[0]};
-  for (int i = 2; i < argc; ++i) argv_run.push_back(argv[i]);
-  return poiprivacy::bench::run_scenario_main(
-      argv[1], static_cast<int>(argv_run.size()), argv_run.data());
+  std::fprintf(stderr, "poibench: unknown mode %s\n\n",
+               std::string(mode).c_str());
+  print_usage(stderr);
+  return 2;
 }

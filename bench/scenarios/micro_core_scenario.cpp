@@ -3,11 +3,6 @@
 // per-op CPU time (CLOCK_PROCESS_CPUTIME_ID) and wall-clock p50/p95/p99
 // as JSON. scripts/bench.sh commits the output as BENCH_micro_core.json;
 // --smoke shrinks the iteration counts to a build-gate sanity check.
-//
-// The google-benchmark runner for the same operations stays in
-// bench/micro_core.cpp (that binary delegates its --json mode here), so
-// this library — and everything that links it — does not depend on
-// google-benchmark.
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -32,8 +27,7 @@ namespace {
 
 using namespace poiprivacy;
 
-/// Compiler barrier standing in for benchmark::DoNotOptimize, so the
-/// JSON harness does not pull google-benchmark into the scenario library.
+/// Compiler barrier that keeps a timed result from being optimized away.
 template <typename T>
 inline void keep(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
@@ -139,12 +133,6 @@ void emit_bench(eval::JsonWriter& json, const std::string& name,
 int run(const eval::BenchOptions& options) {
   const std::string path = options.flags.get("json", std::string{});
   const bool smoke = options.flags.get("smoke", false);
-  return run_micro_core_json(path, smoke);
-}
-
-}  // namespace
-
-int run_micro_core_json(const std::string& path, bool smoke) {
   const std::size_t scale = smoke ? 50 : 1;
   const std::size_t kernel_reps = smoke ? 3 : 25;
   const std::size_t kernel_iters = 20000 / scale;
@@ -361,6 +349,8 @@ int run_micro_core_json(const std::string& path, bool smoke) {
   out << json.str() << "\n";
   return out ? 0 : 1;
 }
+
+}  // namespace
 
 void register_micro_core(eval::ScenarioRegistry& registry) {
   registry.add({

@@ -6,8 +6,6 @@
 //
 // Entry points:
 //   * `poibench` (bench/poibench.cpp) — list/run scenarios by name.
-//   * per-figure shim binaries — `run_scenario_main(name, argc, argv)`,
-//     byte-identical to the historical standalone executables.
 //   * tests — register_all_scenarios() plus the eval::ScenarioRegistry
 //     API directly.
 #pragma once
@@ -44,14 +42,8 @@ void register_stream_utility(eval::ScenarioRegistry& registry);
 /// Idempotent: safe to call from several entry points in one process.
 void register_all_scenarios();
 
-/// The micro_core --json harness: times the fixed kernel/aggregate suite
-/// and writes one JSON document to `path` (stdout when empty or "-").
-/// Shared by the micro_core scenario and the google-benchmark binary's
-/// --json mode.
-int run_micro_core_json(const std::string& path, bool smoke);
-
-/// The two-line-shim entry point: registers everything and runs `name`
-/// with the given argv, exactly as the historical standalone binary did.
+/// Registers everything and runs scenario `name` with the given argv
+/// (argv[0] is the program name, the rest are the scenario's flags).
 int run_scenario_main(std::string_view name, int argc,
                       const char* const* argv);
 

@@ -5,9 +5,13 @@
 #   3. the metrics-determinism binary, which internally re-runs the
 #      service and eval pipelines at --threads 1/2/8 with mid-run
 #      registry scrapes and asserts bit-identical results,
-#   4. the scenario-catalog determinism gate: poibench --all --smoke at
-#      --threads 1 and --threads 8 must produce identical stdout (only
-#      the printed thread count is normalized away),
+#   4. the scenario-catalog golden gate: poibench --all --smoke at
+#      --threads 1 and --threads 8 must print exactly the stdout committed
+#      as tests/golden/all.smoke.txt (only the printed thread count is
+#      normalized away). The golden holds every deterministic scenario's
+#      smoke table, the fig02/fig03 recovery-model sections included, so
+#      any drift in a figure's numbers or in the thread-count invariance
+#      fails here,
 #   5. a Release-build bench smoke: the micro_core --json suite (through
 #      the poibench driver) must run whole and emit parseable JSON
 #      (catches perf harness rot without paying for a full bench run),
@@ -37,14 +41,7 @@
 #      must be byte-identical at --threads 1/2/8, and a loopback
 #      renewal smoke (--renew/--waves) must show budget_exhausted
 #      refusals turning back into grants after an epoch-boundary
-#      renewal,
-#  11. the recovery-model golden gate: the fig02_sanitize_accuracy and
-#      fig03_sanitization smoke configurations (the scenarios' registered
-#      smoke_args) must print, at --threads 1 and --threads 8, exactly the
-#      stdout committed under tests/golden/ (only the printed thread count
-#      is normalized away). The goldens were captured before the SVMs
-#      moved onto one shared Gram matrix and kernel-row scoring, so any
-#      drift in the recovery models' training or decisions fails here.
+#      renewal.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -52,36 +49,31 @@ cd "$(dirname "$0")/.."
 
 jobs="${1:-$(nproc)}"
 
-echo "== [1/11] plain build + tier-1 tests =="
+echo "== [1/10] plain build + tier-1 tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest -L tier1 --output-on-failure -j "$jobs")
 
-echo "== [2/11] ThreadSanitizer build + tsan-labelled tests =="
+echo "== [2/10] ThreadSanitizer build + tsan-labelled tests =="
 cmake -B build-tsan -S . -DPOIPRIVACY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && ctest -L tsan --output-on-failure -j "$jobs")
 
-echo "== [3/11] metrics determinism at --threads 1/2/8 =="
+echo "== [3/10] metrics determinism at --threads 1/2/8 =="
 ./build/tests/obs_determinism_test
 
-echo "== [4/11] poibench --all --smoke determinism at --threads 1/8 =="
+echo "== [4/10] poibench --all --smoke == tests/golden/all.smoke.txt at --threads 1/8 =="
 cmake --build build -j "$jobs" --target poibench
-smoke_t1="$(mktemp)"
-smoke_t8="$(mktemp)"
-./build/bench/poibench --all --smoke --threads 1 2>/dev/null \
-  | sed 's/threads=[0-9]*/threads=N/' > "$smoke_t1"
-./build/bench/poibench --all --smoke --threads 8 2>/dev/null \
-  | sed 's/threads=[0-9]*/threads=N/' > "$smoke_t8"
-diff -u "$smoke_t1" "$smoke_t8"
-for s in mia_raw mia_dp_sweep mia_priors; do
-  grep -q "^==== $s ====" "$smoke_t1" \
-    || { echo "check.sh: $s missing from the smoke catalog" >&2; exit 1; }
+for threads in 1 8; do
+  smoke_t="$(mktemp)"
+  ./build/bench/poibench --all --smoke --threads "$threads" 2>/dev/null \
+    | sed 's/threads=[0-9]*/threads=N/' > "$smoke_t"
+  diff -u tests/golden/all.smoke.txt "$smoke_t"
+  rm -f "$smoke_t"
+  echo "poibench smoke: $(grep -c '^==== ' tests/golden/all.smoke.txt) scenarios byte-identical to the golden at --threads $threads"
 done
-echo "poibench smoke: $(grep -c '^==== ' "$smoke_t1") scenarios identical at --threads 1/8 (mia_* present)"
-rm -f "$smoke_t1" "$smoke_t8"
 
-echo "== [5/11] Release bench smoke =="
+echo "== [5/10] Release bench smoke =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$jobs" --target poibench
 smoke_json="$(mktemp)"
@@ -96,7 +88,7 @@ print('bench smoke:', len(doc['results']), 'benchmarks ran')
 "
 rm -f "$smoke_json"
 
-echo "== [6/11] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
+echo "== [6/10] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
 (cd build && POIPRIVACY_KERNEL=scalar ctest -L tier1 --output-on-failure -j "$jobs")
 for threads in 1 2 8; do
   smoke_scalar="$(mktemp)"
@@ -110,7 +102,7 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel property suites per tier =="
+echo "== [7/10] ASan/UBSan build + kernel property suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   kernel_property_test fingerprint_property_test tile_window_property_test
@@ -125,7 +117,7 @@ for tier in native scalar; do
   done
 done
 
-echo "== [8/11] serving layer: stress/property/framing under TSan + TCP loopback smoke =="
+echo "== [8/10] serving layer: stress/property/framing under TSan + TCP loopback smoke =="
 for suite in service_stress_test session_shard_property_test net_framing_test; do
   cmake --build build-tsan -j "$jobs" --target "$suite" >/dev/null
   "./build-tsan/tests/$suite" --gtest_brief=1 >/dev/null
@@ -149,7 +141,7 @@ print('loopback smoke:', doc['served'], 'requests served over',
 "
 rm -f "$loopback_json"
 
-echo "== [9/11] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
+echo "== [9/10] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
 linkage_ref="$(mktemp)"
 ./build/bench/poibench --scenario linkage_100k --smoke --seed 4242 \
   --threads 1 2>/dev/null | sed 's/threads=[0-9]*/threads=N/' > "$linkage_ref"
@@ -185,7 +177,7 @@ cmake --build build-tsan -j "$jobs" --target linkage_property_test >/dev/null
 ./build-tsan/tests/linkage_property_test --gtest_brief=1 >/dev/null
 echo "tsan: linkage_property_test clean"
 
-echo "== [10/11] ledger: property suite under TSan + stream_utility identity + renewal smoke =="
+echo "== [10/10] ledger: property suite under TSan + stream_utility identity + renewal smoke =="
 cmake --build build-tsan -j "$jobs" --target ledger_property_test >/dev/null
 ./build-tsan/tests/ledger_property_test --gtest_brief=1 >/dev/null
 echo "tsan: ledger_property_test clean"
@@ -222,20 +214,5 @@ print('renewal smoke:', waves[0]['budget_exhausted'],
       'sessions renewed;', waves[1]['granted'], 'grants post-renewal')
 "
 rm -f "$renewal_json"
-
-echo "== [11/11] recovery models: fig02/fig03 smoke stdout == committed goldens at --threads 1/8 =="
-for threads in 1 8; do
-  golden_t="$(mktemp)"
-  ./build/bench/poibench --scenario fig02_sanitize_accuracy --locations 12 \
-    --types 2 --train 40 --valid 20 --seed 4242 --threads "$threads" \
-    2>/dev/null | sed 's/threads=[0-9]*/threads=N/' > "$golden_t"
-  diff -u tests/golden/fig02_sanitize_accuracy.smoke.txt "$golden_t"
-  ./build/bench/poibench --scenario fig03_sanitization --locations 12 \
-    --train 40 --eval-locations 8 --seed 4242 --threads "$threads" \
-    2>/dev/null | sed 's/threads=[0-9]*/threads=N/' > "$golden_t"
-  diff -u tests/golden/fig03_sanitization.smoke.txt "$golden_t"
-  rm -f "$golden_t"
-  echo "fig02/fig03 smoke: byte-identical to tests/golden at --threads $threads"
-done
 
 echo "check.sh: all gates passed"

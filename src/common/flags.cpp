@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -12,6 +13,20 @@ namespace {
 
 bool is_flag(const std::string& arg) {
   return arg.size() > 2 && arg.compare(0, 2, "--") == 0;
+}
+
+/// Parses the whole of `text` as a T; anything else (garbage, trailing
+/// junk, out of range) throws std::invalid_argument naming the flag.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc{} || end != last) {
+    throw std::invalid_argument("invalid value for --" + name + ": '" +
+                                text + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -74,13 +89,13 @@ std::string Flags::get(const std::string& name,
 std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(name, it->second);
 }
 
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_number<double>(name, it->second);
 }
 
 std::size_t Flags::apply_threads_flag() const {

@@ -23,6 +23,9 @@ class Flags {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The numeric getters parse the whole value: garbage, trailing junk
+  /// or an out-of-range number throws std::invalid_argument naming the
+  /// flag and the value.
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
   double get(const std::string& name, double fallback) const;
   bool get(const std::string& name, bool fallback) const;

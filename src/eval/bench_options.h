@@ -1,7 +1,7 @@
 // Shared option plumbing for the figure-reproduction scenarios: flag
 // parsing with uniform defaults and workbench construction. Lives in eval
-// so the scenario registry, the `poibench` driver, the per-figure shim
-// binaries, and the tests all share one parser.
+// so the scenario registry, the `poibench` driver, and the tests all
+// share one parser.
 //
 // Every scenario accepts:
 //   --seed N        master seed (default 42)
@@ -17,7 +17,9 @@
 //
 // An unknown `--flag` prints an error naming the flag plus the usage text
 // to stderr and exits with status 2 — sweep-script typos fail loudly
-// instead of aborting with an uncaught exception.
+// instead of aborting with an uncaught exception. A malformed value
+// (`--seed banana`) throws std::invalid_argument from the constructor,
+// which ScenarioRegistry::run_main reports as "error: ..." and exit 2.
 #pragma once
 
 #include <cstdint>

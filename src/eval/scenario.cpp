@@ -45,8 +45,13 @@ int ScenarioRegistry::run_main(std::string_view name, int argc,
     }
     return 2;
   }
-  const BenchOptions options(argc, argv, scenario->extra_flags);
-  return scenario->run(options);
+  try {
+    const BenchOptions options(argc, argv, scenario->extra_flags);
+    return scenario->run(options);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace poiprivacy::eval

@@ -154,10 +154,6 @@ struct ServiceConfig {
   /// dp/budget.h for the quantization contract).
   double epsilon_ceiling = 8.0;
   double delta_ceiling = 0.5;
-  /// Retained for config compatibility: the fixed-point ledger composes
-  /// basically, which is never looser than tightest-of(basic, advanced);
-  /// dp::Ledger's exact backend still offers the advanced bound offline.
-  double advanced_slack = 1e-6;
   /// Session/budget table sizing (hard memory bound; fail-closed).
   std::size_t session_capacity = 1 << 16;
   std::size_t session_shards = 64;

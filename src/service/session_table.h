@@ -1,11 +1,8 @@
 // Sharded per-user session/budget table — million-user admission state.
 //
-// The serving layer used to keep one defense::ReleaseSession per user in
-// a std::map: a per-request log-time lookup, a PrivacyAccountant map copy
-// per admission predicate, and no safe concurrent access. This table is
-// the scale-out replacement: user ids hash onto N independent shards
-// (like the 16-way ReleaseCache), each shard is a fixed-capacity
-// open-addressed slot array, and a slot is three words —
+// User ids hash onto N independent shards (like the 16-way
+// ReleaseCache), each shard is a fixed-capacity open-addressed slot
+// array, and a slot is three words —
 //
 //   { atomic user id, dp::AtomicBudgetMeter, atomic last-touch epoch }
 //

@@ -1,11 +1,15 @@
 // Pins the bench-option flag contract: an unknown `--flag` is rejected
-// with exit code 2 and a stderr message naming the offending flag (it
-// used to abort with an uncaught std::invalid_argument), while declared
-// extra flags and the common set keep parsing. The underlying
-// common::Flags throwing behavior is pinned by common_test; this suite
-// covers the eval::BenchOptions exit-code layer every scenario and shim
-// binary goes through.
+// with exit code 2 and a stderr message naming the offending flag, while
+// declared extra flags and the common set keep parsing; a numeric flag
+// value must parse whole, or common::Flags throws std::invalid_argument
+// naming the flag and the value (which ScenarioRegistry::run_main turns
+// into exit 2, see scenario_registry_test). The rest of common::Flags is
+// pinned by common_test; this suite covers the eval::BenchOptions layer
+// every scenario goes through.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "eval/bench_options.h"
 
@@ -44,6 +48,51 @@ TEST(BenchOptions, CommonFlagsKeepTheirDefaults) {
   EXPECT_EQ(options.seed, 42u);
   EXPECT_EQ(options.locations, 250u);
   EXPECT_FALSE(options.full);
+}
+
+/// The std::invalid_argument message of `get` on `--name value`, or ""
+/// when it parses.
+template <typename T>
+std::string numeric_get_error(const char* name, const char* value) {
+  const std::string flag = std::string("--") + name;
+  const char* argv[] = {"prog", flag.c_str(), value};
+  const common::Flags flags(3, argv);
+  try {
+    flags.get(name, T{});
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(FlagValues, GarbageIsRejectedNamingFlagAndValue) {
+  EXPECT_EQ(numeric_get_error<std::int64_t>("seed", "banana"),
+            "invalid value for --seed: 'banana'");
+  EXPECT_EQ(numeric_get_error<double>("eps", "banana"),
+            "invalid value for --eps: 'banana'");
+  EXPECT_NE(numeric_get_error<std::int64_t>("seed", ""), "");
+}
+
+TEST(FlagValues, TrailingJunkIsRejected) {
+  EXPECT_EQ(numeric_get_error<std::int64_t>("seed", "12abc"),
+            "invalid value for --seed: '12abc'");
+  EXPECT_EQ(numeric_get_error<double>("eps", "0.5x"),
+            "invalid value for --eps: '0.5x'");
+  EXPECT_NE(numeric_get_error<std::int64_t>("threads", "2.5"), "");
+}
+
+TEST(FlagValues, OutOfRangeIsRejected) {
+  EXPECT_EQ(numeric_get_error<std::int64_t>("seed", "99999999999999999999"),
+            "invalid value for --seed: '99999999999999999999'");
+  EXPECT_EQ(numeric_get_error<double>("eps", "1e999"),
+            "invalid value for --eps: '1e999'");
+}
+
+TEST(FlagValues, WellFormedNumbersParse) {
+  const char* argv[] = {"prog", "--seed", "-12", "--eps", "2.5e-1"};
+  const common::Flags flags(5, argv);
+  EXPECT_EQ(flags.get("seed", std::int64_t{0}), -12);
+  EXPECT_EQ(flags.get("eps", 0.0), 0.25);
 }
 
 }  // namespace

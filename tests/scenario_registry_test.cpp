@@ -1,9 +1,8 @@
 // The scenario catalog as a contract: registration is complete and
 // idempotent, every scenario runs clean in smoke mode on the tiny golden
 // city, and the fig02/fig05/fig11 tables reproduced through the driver
-// path (`run_scenario_main`, the same entry `poibench` and the shim
-// binaries use) match the text the historical standalone executables
-// printed. The pinned lines below were captured from a trusted run at
+// path (`run_scenario_main`, the entry `poibench` uses) match the text
+// the historical standalone executables printed. The pinned lines below were captured from a trusted run at
 // seed 4242 before the scenario refactor.
 #include <gtest/gtest.h>
 
@@ -83,6 +82,16 @@ TEST(ScenarioRegistry, UnknownNameReturns2) {
   register_all_scenarios();
   std::string out;
   EXPECT_EQ(run_scenario("no_such_scenario", {}, &out), 2);
+}
+
+TEST(ScenarioRegistry, BadFlagValueReturns2) {
+  register_all_scenarios();
+  std::string out;
+  EXPECT_EQ(run_scenario("fig04_geoind", {"--seed", "banana"}, &out), 2);
+  EXPECT_EQ(run_scenario("fig04_geoind", {"--seed", "12abc"}, &out), 2);
+  EXPECT_EQ(run_scenario("fig04_geoind", {"--seed", "99999999999999999999"},
+                         &out),
+            2);
 }
 
 TEST(ScenarioRegistry, EveryScenarioRunsCleanInSmokeMode) {

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "attack/chain_attack.h"
-#include "defense/session.h"
+#include "defense/opt_defense.h"
+#include "dp/ledger.h"
 #include "poi/city_model.h"
 #include "traj/generators.h"
 
@@ -16,74 +17,54 @@ cloak::AdaptiveIntervalCloaker make_cloaker(const poi::PoiDatabase& db) {
       cloak::uniform_population(db.bounds(), 500, rng), db.bounds());
 }
 
-TEST(ReleaseSession, SpendsBudgetPerRelease) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig config;
-  config.release.epsilon = 1.0;
-  config.release.delta = 0.05;
-  config.epsilon_ceiling = 3.5;
-  config.delta_ceiling = 1.0;
-  config.advanced_slack = 0.0;  // basic composition only
-  defense::ReleaseSession session(city.db, cloaker, config);
-  common::Rng rng(5);
+// A release session (examples/budget_session) is a DpDefense gated by an
+// exact dp::Ledger: a release is refused when would_exceed(cost), and its
+// cost is recorded after it is made. Slack 0 composes basically; a
+// positive slack takes tightest-of(basic, advanced).
+dp::Ledger session_ledger(double epsilon_ceiling, double delta_ceiling,
+                          double advanced_slack = 0.0) {
+  return dp::Ledger(dp::LedgerConfig{
+      advanced_slack > 0.0 ? dp::LedgerPolicy::kAdvancedHeterogeneous
+                           : dp::LedgerPolicy::kBasic,
+      dp::LedgerBackend::kExact, epsilon_ceiling, delta_ceiling,
+      advanced_slack, dp::WindowPolicy{}});
+}
 
-  EXPECT_EQ(session.releases(), 0u);
-  EXPECT_DOUBLE_EQ(session.spent().epsilon, 0.0);
+/// The session's admission loop over up to `attempts` releases of
+/// `cost`; returns how many were granted.
+int grant_releases(dp::Ledger& ledger, dp::PrivacyParams cost,
+                   int attempts) {
   int granted = 0;
-  for (int i = 0; i < 10; ++i) {
-    granted += session.release({4.0, 4.0}, 1.0, rng).has_value();
+  for (; granted < attempts && !ledger.would_exceed(cost); ++granted) {
+    ledger.record(cost);
   }
+  return granted;
+}
+
+TEST(ReleaseSession, SpendsBudgetPerRelease) {
+  dp::Ledger ledger = session_ledger(3.5, 1.0);
+  const dp::PrivacyParams cost{1.0, 0.05};
+  EXPECT_EQ(ledger.releases(), 0u);
+  EXPECT_DOUBLE_EQ(ledger.spent().epsilon, 0.0);
   // eps ceiling 3.5 with 1.0 per release -> exactly 3 releases.
-  EXPECT_EQ(granted, 3);
-  EXPECT_EQ(session.releases(), 3u);
-  EXPECT_TRUE(session.exhausted());
-  EXPECT_NEAR(session.spent().epsilon, 3.0, 1e-9);
-  EXPECT_NEAR(session.spent().delta, 0.15, 1e-9);
+  EXPECT_EQ(grant_releases(ledger, cost, 10), 3);
+  EXPECT_EQ(ledger.releases(), 3u);
+  EXPECT_TRUE(ledger.would_exceed(cost));
+  EXPECT_NEAR(ledger.spent().epsilon, 3.0, 1e-9);
+  EXPECT_NEAR(ledger.spent().delta, 0.15, 1e-9);
 }
 
 TEST(ReleaseSession, DeltaCeilingAlsoStops) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig config;
-  config.release.epsilon = 0.1;
-  config.release.delta = 0.2;
-  config.epsilon_ceiling = 100.0;
-  config.delta_ceiling = 0.5;
-  config.advanced_slack = 0.0;
-  defense::ReleaseSession session(city.db, cloaker, config);
-  common::Rng rng(7);
-  int granted = 0;
-  for (int i = 0; i < 10; ++i) {
-    granted += session.release({4.0, 4.0}, 1.0, rng).has_value();
-  }
-  EXPECT_EQ(granted, 2);  // 3 * 0.2 > 0.5
+  dp::Ledger ledger = session_ledger(100.0, 0.5);
+  EXPECT_EQ(grant_releases(ledger, {0.1, 0.2}, 10), 2);  // 3 * 0.2 > 0.5
 }
 
 TEST(ReleaseSession, AdvancedCompositionGrantsMoreSmallReleases) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig basic;
-  basic.release.epsilon = 0.01;
-  basic.release.delta = 1e-5;
-  basic.epsilon_ceiling = 2.0;
-  basic.delta_ceiling = 1.0;
-  basic.advanced_slack = 0.0;
-  defense::SessionConfig advanced = basic;
-  advanced.advanced_slack = 1e-6;
-
-  const auto grants = [&](defense::SessionConfig config) {
-    defense::ReleaseSession session(city.db, cloaker, config);
-    common::Rng rng(9);
-    int granted = 0;
-    for (int i = 0; i < 1600; ++i) {
-      if (!session.release({4.0, 4.0}, 1.0, rng)) break;
-      ++granted;
-    }
-    return granted;
-  };
-  const int basic_grants = grants(basic);
-  const int advanced_grants = grants(advanced);
+  const dp::PrivacyParams cost{0.01, 1e-5};
+  dp::Ledger basic = session_ledger(2.0, 1.0);
+  dp::Ledger advanced = session_ledger(2.0, 1.0, 1e-6);
+  const int basic_grants = grant_releases(basic, cost, 1600);
+  const int advanced_grants = grant_releases(advanced, cost, 1600);
   // Basic composition caps out around ceiling / eps = 200 releases
   // (floating-point summation may shave one off); sqrt-scaling advanced
   // composition grants several times more.
@@ -93,65 +74,48 @@ TEST(ReleaseSession, AdvancedCompositionGrantsMoreSmallReleases) {
 }
 
 TEST(ReleaseSession, RemainingShrinksWithSpendAndClampsAtZero) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig config;
-  config.release.epsilon = 1.0;
-  config.release.delta = 0.05;
-  config.epsilon_ceiling = 2.5;
-  config.delta_ceiling = 1.0;
-  config.advanced_slack = 0.0;
-  defense::ReleaseSession session(city.db, cloaker, config);
-
-  EXPECT_DOUBLE_EQ(session.remaining().epsilon, 2.5);
-  EXPECT_DOUBLE_EQ(session.remaining().delta, 1.0);
-  session.ledger().record({1.0, 0.05});
-  EXPECT_NEAR(session.remaining().epsilon, 1.5, 1e-12);
-  EXPECT_NEAR(session.remaining().delta, 0.95, 1e-12);
-  session.ledger().record({1.0, 0.05});
-  session.ledger().record({1.0, 0.05});
+  dp::Ledger ledger = session_ledger(2.5, 1.0);
+  EXPECT_DOUBLE_EQ(ledger.remaining().epsilon, 2.5);
+  EXPECT_DOUBLE_EQ(ledger.remaining().delta, 1.0);
+  ledger.record({1.0, 0.05});
+  EXPECT_NEAR(ledger.remaining().epsilon, 1.5, 1e-12);
+  EXPECT_NEAR(ledger.remaining().delta, 0.95, 1e-12);
+  ledger.record({1.0, 0.05});
+  ledger.record({1.0, 0.05});
   // Spent (3.0) exceeds the 2.5 ceiling; remaining clamps at zero.
-  EXPECT_DOUBLE_EQ(session.remaining().epsilon, 0.0);
+  EXPECT_DOUBLE_EQ(ledger.remaining().epsilon, 0.0);
 }
 
 TEST(ReleaseSession, WouldExceedGatesWithoutThrowing) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig config;
-  config.release.epsilon = 1.0;
-  config.release.delta = 0.0;
-  config.epsilon_ceiling = 2.0;
-  config.delta_ceiling = 1.0;
-  config.advanced_slack = 0.0;
-  defense::ReleaseSession session(city.db, cloaker, config);
-
-  EXPECT_FALSE(session.ledger().would_exceed({1.0, 0.0}));
-  EXPECT_TRUE(session.ledger().would_exceed({2.5, 0.0}));
+  dp::Ledger ledger = session_ledger(2.0, 1.0);
+  EXPECT_FALSE(ledger.would_exceed({1.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({2.5, 0.0}));
   // A cheaper policy can still fit after the nominal one no longer does.
-  session.ledger().record({1.0, 0.0});
-  session.ledger().record({0.5, 0.0});
-  EXPECT_TRUE(session.ledger().would_exceed({1.0, 0.0}));
-  EXPECT_FALSE(session.ledger().would_exceed({0.5, 0.0}));
-  // Spent 1.5 + nominal 1.0 = 2.5 > 2.0, so the session counts as
-  // exhausted even though a 0.5-policy request is still admissible.
-  EXPECT_TRUE(session.exhausted());
+  ledger.record({1.0, 0.0});
+  ledger.record({0.5, 0.0});
+  EXPECT_TRUE(ledger.would_exceed({1.0, 0.0}));
+  EXPECT_FALSE(ledger.would_exceed({0.5, 0.0}));
 
   // Invalid parameters are never admissible but must not throw.
-  EXPECT_TRUE(session.ledger().would_exceed({0.0, 0.0}));
-  EXPECT_TRUE(session.ledger().would_exceed({-1.0, 0.0}));
-  EXPECT_TRUE(session.ledger().would_exceed({0.5, 1.0}));
+  EXPECT_TRUE(ledger.would_exceed({0.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({-1.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({0.5, 1.0}));
 }
 
 TEST(ReleaseSession, ReleasesAreValidVectors) {
   const poi::City city = make_city();
   const auto cloaker = make_cloaker(city.db);
-  defense::SessionConfig config;
-  defense::ReleaseSession session(city.db, cloaker, config);
+  const defense::DpDefenseConfig config;
+  const defense::DpDefense defense(city.db, cloaker, config);
+  dp::Ledger ledger = session_ledger(10.0, 0.5, 1e-6);
+  const dp::PrivacyParams cost{config.epsilon, config.delta};
   common::Rng rng(11);
-  const auto released = session.release({4.0, 4.0}, 1.0, rng);
-  ASSERT_TRUE(released.has_value());
-  ASSERT_EQ(released->size(), city.db.num_types());
-  for (const auto v : *released) EXPECT_GE(v, 0);
+  ASSERT_FALSE(ledger.would_exceed(cost));
+  const poi::FrequencyVector released = defense.release({4.0, 4.0}, 1.0, rng);
+  ledger.record(cost);
+  EXPECT_EQ(ledger.releases(), 1u);
+  ASSERT_EQ(released.size(), city.db.num_types());
+  for (const auto v : released) EXPECT_GE(v, 0);
 }
 
 class ChainAttackTest : public ::testing::Test {
