@@ -3,10 +3,12 @@
 // (pure eps-DP, delta = 0) at the same epsilon, r = 2 km, k = 20.
 #include <iostream>
 
-#include "bench_common.h"
 #include "cloak/kcloak.h"
+#include "common/stats.h"
 #include "defense/opt_defense.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {

@@ -3,9 +3,10 @@
 // the same rare-type prediction task (Beijing, sampled types).
 #include <iostream>
 
-#include "bench_common.h"
 #include "common/stats.h"
 #include "defense/sanitizer.h"
+#include "eval/bench_options.h"
+#include "eval/table.h"
 #include "ml/logistic.h"
 #include "ml/svm.h"
 #include "ml/validation.h"

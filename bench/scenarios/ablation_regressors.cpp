@@ -4,7 +4,9 @@
 #include <iostream>
 
 #include "attack/trajectory_attack.h"
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
+#include "eval/table.h"
 #include "ml/kernel_ridge.h"
 #include "ml/svr.h"
 #include "scenarios/scenarios.h"

@@ -15,9 +15,11 @@
 
 #include "attack/fingerprint.h"
 #include "attack/robust_reid.h"
-#include "bench_common.h"
+#include "common/stats.h"
 #include "defense/opt_defense.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {

@@ -8,8 +8,10 @@
 // hidden per release).
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "poi/categories.h"
 #include "scenarios/scenarios.h"
 

@@ -5,7 +5,9 @@
 #include <iostream>
 
 #include "attack/chain_attack.h"
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 #include "traj/generators.h"
 

@@ -8,9 +8,10 @@
 #include <iostream>
 
 #include "attack/recovery.h"
-#include "bench_common.h"
 #include "common/stats.h"
 #include "defense/sanitizer.h"
+#include "eval/bench_options.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -42,7 +43,7 @@ int run(const eval::BenchOptions& options) {
                                            sanitizer.sanitized_types().size()) +
                                        " sanitized types)");
     eval::Table table({"r_km", "mean accuracy", "stddev", "min", "models"});
-    for (const double r : kQueryRangesKm) {
+    for (const double r : eval::kQueryRangesKm) {
       common::Rng rng(options.seed + static_cast<std::uint64_t>(r * 10));
       // Sample the evaluated types deterministically.
       std::vector<poi::TypeId> types = sanitizer.sanitized_types();

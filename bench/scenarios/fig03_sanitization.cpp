@@ -4,9 +4,11 @@
 #include <iostream>
 
 #include "attack/recovery.h"
-#include "bench_common.h"
+#include "common/stats.h"
 #include "defense/sanitizer.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -41,7 +43,7 @@ int run(const eval::BenchOptions& options) {
                                        " types sanitized)");
     eval::Table table(
         {"r_km", "w/o protection", "sanitized", "recovered"});
-    for (const double r : kQueryRangesKm) {
+    for (const double r : eval::kQueryRangesKm) {
       const eval::AttackStats base = eval::evaluate_attack(
           db, locations, r, eval::identity_release(db));
       const eval::AttackStats sanitized = eval::evaluate_attack(

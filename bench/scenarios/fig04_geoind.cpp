@@ -3,9 +3,11 @@
 // eps in {0.1, 1.0}, on all four datasets and query ranges.
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
 #include "defense/location_defenses.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -24,7 +26,7 @@ int run(const eval::BenchOptions& options) {
                                        eval::dataset_name(kind));
     eval::Table table({"r_km", "w/o protection", "eps=0.1", "eps=1.0",
                        "mitigated@0.1"});
-    for (const double r : kQueryRangesKm) {
+    for (const double r : eval::kQueryRangesKm) {
       const eval::AttackStats base = eval::evaluate_attack(
           db, workbench.locations(kind), r, eval::identity_release(db));
       double rates[2];

@@ -3,10 +3,12 @@
 // users per city, on all four datasets and query ranges.
 #include <iostream>
 
-#include "bench_common.h"
 #include "cloak/kcloak.h"
+#include "common/stats.h"
 #include "defense/location_defenses.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -46,7 +48,7 @@ int run(const eval::BenchOptions& options) {
         {"k", "r=0.5km", "r=1.0km", "r=2.0km", "r=4.0km"});
     // k = 0 row: no protection baseline.
     std::vector<std::string> base_row{"none"};
-    for (const double r : kQueryRangesKm) {
+    for (const double r : eval::kQueryRangesKm) {
       const eval::AttackStats stats = eval::evaluate_attack(
           db, workbench.locations(kind), r, eval::identity_release(db));
       base_row.push_back(common::fmt(stats.success_rate()));
@@ -55,7 +57,7 @@ int run(const eval::BenchOptions& options) {
     for (const std::size_t k : ks) {
       const defense::KCloakDefense defense(db, cloaker, k);
       std::vector<std::string> row{std::to_string(k)};
-      for (const double r : kQueryRangesKm) {
+      for (const double r : eval::kQueryRangesKm) {
         const eval::AttackStats stats = eval::evaluate_attack(
             db, workbench.locations(kind), r,
             [&defense](geo::Point l, double radius) {

@@ -4,8 +4,10 @@
 // quarter of that.
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -22,7 +24,7 @@ int run(const eval::BenchOptions& options) {
   attack::FineGrainedConfig config;
   config.max_aux = max_aux;
 
-  for (const double r : kQueryRangesKm) {
+  for (const double r : eval::kQueryRangesKm) {
     const double baseline_area = M_PI * r * r;
     eval::print_section(
         std::cout, "Fig. 6 — r = " + common::fmt(r, 1) +

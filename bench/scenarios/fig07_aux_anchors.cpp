@@ -4,8 +4,10 @@
 // --ablate-order is passed.
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {

@@ -9,8 +9,10 @@
 #include <iostream>
 
 #include "attack/trajectory_attack.h"
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 #include "traj/generators.h"
 
@@ -30,7 +32,7 @@ int run(const eval::BenchOptions& options) {
                       "Fig. 8 — single release vs two successive releases");
   eval::Table table({"r_km", "single release", "two releases", "gain",
                      "pairs", "SVR MAE km"});
-  for (const double r : kQueryRangesKm) {
+  for (const double r : eval::kQueryRangesKm) {
     std::vector<traj::ReleasePair> pairs = traj::extract_release_pairs(
         workbench.taxi_trajectories(), db, r, 10 * 60);
     if (pairs.size() > max_pairs) pairs.resize(max_pairs);

@@ -4,9 +4,11 @@
 // Datasets: Beijing T-drive and NYC Foursquare, as in the paper.
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
 #include "defense/opt_defense.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {
@@ -34,7 +36,7 @@ int run(const eval::BenchOptions& options) {
                          "r=4.0km"});
     {
       std::vector<std::string> row{"0 (none)"};
-      for (const double r : kQueryRangesKm) {
+      for (const double r : eval::kQueryRangesKm) {
         row.push_back(common::fmt(
             eval::evaluate_attack(db, workbench.locations(kind), r,
                                   eval::identity_release(db))
@@ -49,7 +51,7 @@ int run(const eval::BenchOptions& options) {
       };
       std::vector<std::string> success_row{common::fmt(beta, 2)};
       std::vector<std::string> utility_row{common::fmt(beta, 2)};
-      for (const double r : kQueryRangesKm) {
+      for (const double r : eval::kQueryRangesKm) {
         success_row.push_back(common::fmt(
             eval::evaluate_attack(db, workbench.locations(kind), r, release)
                 .success_rate()));

@@ -5,10 +5,12 @@
 // Datasets: Beijing T-drive and NYC Foursquare, as in the paper.
 #include <iostream>
 
-#include "bench_common.h"
 #include "cloak/kcloak.h"
+#include "common/stats.h"
 #include "defense/opt_defense.h"
+#include "eval/bench_options.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 
 namespace poiprivacy::bench {

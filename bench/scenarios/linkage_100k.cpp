@@ -20,10 +20,12 @@
 #include <string>
 
 #include "attack/linkage_engine.h"
-#include "bench_common.h"
 #include "common/alloc_count.h"
+#include "common/stats.h"
 #include "common/stopwatch.h"
+#include "eval/bench_options.h"
 #include "eval/json.h"
+#include "eval/table.h"
 #include "scenarios/scenarios.h"
 #include "traj/generators.h"
 

@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "bench_common.h"
+#include "eval/bench_options.h"
 #include "mia/game.h"
 #include "mia/mobility.h"
 

@@ -9,8 +9,10 @@
 #include <iostream>
 
 #include "attack/attack_context.h"
+#include "common/stats.h"
 #include "eval/json.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "mia_common.h"
 #include "scenarios/scenarios.h"
 

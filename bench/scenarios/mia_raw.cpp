@@ -7,7 +7,9 @@
 #include <iostream>
 
 #include "attack/attack_context.h"
+#include "common/stats.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "mia_common.h"
 #include "scenarios/scenarios.h"
 

@@ -18,9 +18,11 @@
 #include <iostream>
 
 #include "attack/attack_context.h"
+#include "common/stats.h"
 #include "dp/ledger.h"
 #include "eval/json.h"
 #include "eval/runner.h"
+#include "eval/table.h"
 #include "mia_common.h"
 #include "scenarios/scenarios.h"
 
@@ -86,9 +88,9 @@ int run(const eval::BenchOptions& options) {
       noised_config.epsilon = eps;
       const mia::AggregateStreamReleaser releaser(traces, noised_config,
                                                   roi_tiles, roi_epochs);
-      dp::Ledger ledger(dp::LedgerConfig{
-          dp::LedgerPolicy::kWindowedRenewal, dp::LedgerBackend::kExact, 0.0,
-          0.0, 0.0, noised_config.accounting});
+      dp::Ledger ledger(dp::LedgerConfig{dp::LedgerPolicy::kWindowedRenewal,
+                                         0.0, 0.0, 0.0,
+                                         noised_config.accounting});
       common::Rng rng = noise_base.substream(arm++);
       poi::FreqArena noised;
       releaser.release(group, 0, mobility.epochs, rng, noised, &ledger);

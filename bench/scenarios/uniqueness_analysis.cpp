@@ -4,7 +4,9 @@
 // paper's attacks and defense.
 #include <iostream>
 
-#include "bench_common.h"
+#include "common/stats.h"
+#include "eval/bench_options.h"
+#include "eval/table.h"
 #include "eval/uniqueness.h"
 #include "scenarios/scenarios.h"
 
@@ -24,7 +26,7 @@ int run(const eval::BenchOptions& options) {
   for (const poi::City* city : {&workbench.beijing(), &workbench.nyc()}) {
     std::vector<std::string> row{city->db.city_name()};
     std::size_t probes = 0;
-    for (const double r : kQueryRangesKm) {
+    for (const double r : eval::kQueryRangesKm) {
       const eval::UniquenessMap map =
           eval::analyze_uniqueness(city->db, r, cell);
       row.push_back(common::fmt(map.uniqueness_ratio()));

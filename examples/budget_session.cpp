@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   const double epsilon_ceiling = flags.get("ceiling", 4.0);
   dp::Ledger ledger(dp::LedgerConfig{
       .policy = dp::LedgerPolicy::kAdvancedHeterogeneous,
-      .backend = dp::LedgerBackend::kExact,
       .epsilon_ceiling = epsilon_ceiling,
       .delta_ceiling = 0.5,
       .advanced_slack = 1e-6,

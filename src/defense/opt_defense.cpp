@@ -1,8 +1,9 @@
 #include "defense/opt_defense.h"
 
-#include "dp/discrete.h"
-
 #include <algorithm>
+#include <cmath>
+
+#include "dp/discrete.h"
 
 namespace poiprivacy::defense {
 
@@ -37,52 +38,55 @@ poi::FrequencyVector OptimizationDefense::release(
       max_injection_);
 }
 
-std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
-                                           common::Rng& rng) const {
-  const std::vector<geo::Point> dummies =
-      cloaker_->dummy_locations(location, config_.k, rng);
-  // Shared per-thread scratch (see poi::scratch_arena): the k dummy
-  // aggregates land in one reusable buffer, so steady-state releases
-  // allocate nothing for the frequency queries. Consumed fully below,
-  // before any other component can refill the arena.
+CloakAggregate fold_dummies(const poi::PoiDatabase& db,
+                            std::span<const geo::Point> dummies, double r) {
+  const std::size_t m = db.num_types();
+  CloakAggregate aggregate;
+  aggregate.k = dummies.size();
+  aggregate.sum.assign(m, 0.0);
+  aggregate.sensitivity.assign(m, 0.0);
+  // The k dummy aggregates land in the per-thread scratch arena, so
+  // steady-state releases allocate nothing for the queries. A dummy that
+  // saw zero POIs (clear fingerprint) adds nothing to either fold and is
+  // skipped; per type the additions run in ascending dummy order.
   poi::FreqArena& arena = poi::scratch_arena();
-  db_->freq_batch(dummies, r, arena);
-
-  const std::size_t m = db_->num_types();
-  const double k = static_cast<double>(dummies.size());
-  // Row-major accumulation streams each arena row once. Per type, the
-  // additions still happen in ascending dummy order, so the floating-point
-  // sums (and hence the noise draws below) are bit-identical to the old
-  // column-major loop.
-  std::vector<double> sum(m, 0.0);
-  std::vector<double> sensitivity(m, 0.0);  // Delta_i = max_d F_d[i]
+  db.freq_batch(dummies, r, arena);
+  arena.pack_fingerprints();
   for (std::size_t d = 0; d < arena.rows(); ++d) {
+    if (poi::fingerprint_empty(arena.fingerprint(d))) continue;
     const std::span<const std::int32_t> row = arena.row(d);
     for (std::size_t i = 0; i < m; ++i) {
-      sum[i] += row[i];
-      sensitivity[i] =
-          std::max(sensitivity[i], static_cast<double>(row[i]));
+      aggregate.sum[i] += row[i];
+      aggregate.sensitivity[i] =
+          std::max(aggregate.sensitivity[i], static_cast<double>(row[i]));
     }
   }
+  return aggregate;
+}
 
+std::vector<double> noise_aggregate(const DpDefenseConfig& config,
+                                    const CloakAggregate& aggregate,
+                                    common::Rng& rng) {
+  const std::size_t m = aggregate.sum.size();
+  const double k = static_cast<double>(aggregate.k);
   std::vector<double> mean(m, 0.0);
-  const dp::PrivacyParams params{config_.epsilon, config_.delta};
+  const dp::PrivacyParams params{config.epsilon, config.delta};
   for (std::size_t i = 0; i < m; ++i) {
-    double noised = sum[i];
-    if (sensitivity[i] > 0.0) {
-      switch (config_.noise) {
+    double noised = aggregate.sum[i];
+    if (aggregate.sensitivity[i] > 0.0) {
+      switch (config.noise) {
         case DpNoiseKind::kGaussian: {
-          const double sigma =
-              dp::GaussianMechanism::calibrated_sigma(params, sensitivity[i]);
-          noised = sum[i] + rng.normal(0.0, sigma);
+          const double sigma = dp::GaussianMechanism::calibrated_sigma(
+              params, aggregate.sensitivity[i]);
+          noised += rng.normal(0.0, sigma);
           break;
         }
         case DpNoiseKind::kGeometric: {
           const dp::GeometricMechanism mech(
-              config_.epsilon, static_cast<std::int64_t>(sensitivity[i]));
-          noised = static_cast<double>(
-              mech.perturb(static_cast<std::int64_t>(std::llround(sum[i])),
-                           rng));
+              config.epsilon,
+              static_cast<std::int64_t>(aggregate.sensitivity[i]));
+          noised = static_cast<double>(mech.perturb(
+              static_cast<std::int64_t>(std::llround(noised)), rng));
           break;
         }
       }
@@ -90,6 +94,14 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
     mean[i] = noised / k;
   }
   return mean;
+}
+
+std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
+                                           common::Rng& rng) const {
+  // The dummy draw consumes `rng` before the noise draws.
+  const std::vector<geo::Point> dummies =
+      cloaker_->dummy_locations(location, config_.k, rng);
+  return noise_aggregate(config_, fold_dummies(*db_, dummies, r), rng);
 }
 
 poi::FrequencyVector DpDefense::release(geo::Point location, double r,

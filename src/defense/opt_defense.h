@@ -12,7 +12,13 @@
 //          per-dimension sensitivity is max_d F_d[i] (the paper's proof);
 //       3. the optimizer of Eq. (9) post-processes the noised mean, which
 //          preserves the DP guarantee (Lemma 3).
+//     Steps 2 and 3 are free functions (fold_dummies, noise_aggregate,
+//     postprocess_release) so the serving layer runs the very same
+//     mechanism over its cached cloak-region aggregates.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "cloak/kcloak.h"
 #include "dp/mechanisms.h"
@@ -74,6 +80,32 @@ struct DpDefenseConfig {
   /// ablation, disabled by default.
   std::int32_t max_injection = 0;
 };
+
+/// The non-private half of Eq. (8) over k dummy locations: per-type
+/// sums and sensitivities (sensitivity_i = max_d F_d[i], the Gaussian
+/// mechanism's per-dimension calibration). The serving layer caches one
+/// per cloak region; its stream blocks reuse the container (`sum` holds
+/// the raw window-major per-series counts, `sensitivity` the single
+/// stream sensitivity, and `k` the series count).
+struct CloakAggregate {
+  std::vector<double> sum;
+  std::vector<double> sensitivity;
+  std::size_t k = 0;
+};
+
+/// Folds the range-r frequency vectors of `dummies` into one aggregate
+/// with k = dummies.size(). Per type the additions run in ascending
+/// dummy order, so the sums are a pure function of the dummy sequence.
+/// Queries land in poi::scratch_arena(), which this call refills.
+CloakAggregate fold_dummies(const poi::PoiDatabase& db,
+                            std::span<const geo::Point> dummies, double r);
+
+/// Eq. (8): the noised mean F*_D. Every type with a positive sensitivity
+/// draws one noise value in ascending type order (Gaussian or two-sided
+/// geometric per `config.noise`); the result is divided by k.
+std::vector<double> noise_aggregate(const DpDefenseConfig& config,
+                                    const CloakAggregate& aggregate,
+                                    common::Rng& rng);
 
 class DpDefense {
  public:

@@ -1,5 +1,6 @@
 #include "dp/mechanisms.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,6 +15,12 @@ LaplaceMechanism::LaplaceMechanism(double epsilon, double sensitivity) {
 
 double LaplaceMechanism::perturb(double value, common::Rng& rng) const {
   return value + rng.laplace(scale_);
+}
+
+std::int32_t LaplaceMechanism::release_count(double count,
+                                             common::Rng& rng) const {
+  return static_cast<std::int32_t>(
+      std::max(0.0, std::round(perturb(count, rng))));
 }
 
 double GaussianMechanism::calibrated_sigma(PrivacyParams params,

@@ -9,6 +9,8 @@
 //     angle uniform.
 #pragma once
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "geo/geometry.h"
 
@@ -26,6 +28,11 @@ class LaplaceMechanism {
   LaplaceMechanism(double epsilon, double sensitivity);
 
   double perturb(double value, common::Rng& rng) const;
+
+  /// A noised count as released to a client: perturb(count), rounded,
+  /// clamped at zero (post-processing, so the guarantee is unchanged).
+  std::int32_t release_count(double count, common::Rng& rng) const;
+
   double scale() const noexcept { return scale_; }
 
  private:

@@ -1,7 +1,6 @@
 #include "mia/stream_release.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "dp/mechanisms.h"
@@ -91,10 +90,7 @@ void AggregateStreamReleaser::release(std::span<const std::uint32_t> group,
       }
       const dp::LaplaceMechanism laplace(config_.epsilon, sensitivity());
       for (std::int32_t& cell : row) {
-        const double noised =
-            laplace.perturb(static_cast<double>(cell), rng);
-        cell = static_cast<std::int32_t>(
-            std::max(0.0, std::round(noised)));
+        cell = laplace.release_count(static_cast<double>(cell), rng);
       }
     }
   }

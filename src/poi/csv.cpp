@@ -1,9 +1,12 @@
 #include "poi/csv.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 namespace poiprivacy::poi {
 
@@ -28,60 +31,90 @@ void save_csv(const PoiDatabase& db, const std::string& path) {
 
 namespace {
 
-double parse_kv(const std::string& header, const std::string& key) {
-  const std::string token = key + "=";
-  const auto pos = header.find(token);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("csv header missing " + key);
-  }
-  return std::stod(header.substr(pos + token.size()));
+[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
+  throw std::runtime_error("csv line " + std::to_string(line_no) + ": " +
+                           what);
 }
 
-std::string parse_city(const std::string& header) {
-  const std::string token = "city=";
+/// Reads one line without its terminator; a CRLF file's '\r' goes too.
+bool next_line(std::istream& in, std::string& line) {
+  if (!std::getline(in, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
+}
+
+/// The whole field as a number of type T (no sign prefix, no leading or
+/// trailing junk); a double must also be finite.
+template <typename T>
+T parse_number(std::string_view field, std::size_t line_no,
+               const char* what) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc() || ptr != end) {
+    fail(line_no, std::string("bad ") + what + " '" + std::string(field) + "'");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      fail(line_no, std::string("non-finite ") + what);
+    }
+  }
+  return value;
+}
+
+/// The value of `key=` in the header line, up to the next space.
+std::string_view header_value(std::string_view header, const std::string& key) {
+  const std::string token = " " + key + "=";
   const auto pos = header.find(token);
-  if (pos == std::string::npos) throw std::runtime_error("csv missing city=");
+  if (pos == std::string_view::npos) fail(1, "header missing " + key);
   const auto start = pos + token.size();
-  const auto end = header.find(' ', start);
-  return header.substr(start, end - start);
+  return header.substr(start, header.find(' ', start) - start);
 }
 
 }  // namespace
 
 PoiDatabase load_csv(std::istream& in) {
   std::string header;
-  if (!std::getline(in, header) || header.empty() || header[0] != '#') {
-    throw std::runtime_error("csv: missing '#' header line");
+  if (!next_line(in, header) || header.empty() || header[0] != '#') {
+    fail(1, "missing '#' header line");
   }
-  const std::string city = parse_city(header);
-  const geo::BBox bounds{parse_kv(header, "min_x"), parse_kv(header, "min_y"),
-                         parse_kv(header, "max_x"), parse_kv(header, "max_y")};
+  const std::string city(header_value(header, "city"));
+  const auto bound = [&header](const char* key) {
+    return parse_number<double>(header_value(header, key), 1, key);
+  };
+  const geo::BBox bounds{bound("min_x"), bound("min_y"), bound("max_x"),
+                         bound("max_y")};
+  if (!(bounds.min_x < bounds.max_x && bounds.min_y < bounds.max_y)) {
+    fail(1, "bounds need min < max");
+  }
   std::string columns;
-  if (!std::getline(in, columns) || columns != "id,type,x_km,y_km") {
-    throw std::runtime_error("csv: unexpected column header: " + columns);
+  if (!next_line(in, columns) || columns != "id,type,x_km,y_km") {
+    fail(2, "unexpected column header: " + columns);
   }
 
   PoiTypeRegistry registry;
   std::vector<Poi> pois;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 3; next_line(in, line); ++line_no) {
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string id_str;
-    std::string type_name;
-    std::string x_str;
-    std::string y_str;
-    if (!std::getline(row, id_str, ',') || !std::getline(row, type_name, ',') ||
-        !std::getline(row, x_str, ',') || !std::getline(row, y_str)) {
-      throw std::runtime_error("csv: malformed row: " + line);
+    // Exactly four fields: id, type, x, y.
+    std::string_view fields[4];
+    std::string_view rest = line;
+    for (std::size_t f = 0; f < 4; ++f) {
+      const auto comma = rest.find(',');
+      if ((comma == std::string_view::npos) != (f == 3)) {
+        fail(line_no, "expected 4 comma-separated fields: " + line);
+      }
+      fields[f] = rest.substr(0, comma);
+      if (f < 3) rest.remove_prefix(comma + 1);
     }
+    if (fields[1].empty()) fail(line_no, "empty type");
     Poi p;
-    p.id = static_cast<PoiId>(std::stoul(id_str));
-    p.type = registry.intern(type_name);
-    p.pos = {std::stod(x_str), std::stod(y_str)};
-    if (p.id != pois.size()) {
-      throw std::runtime_error("csv: ids must be dense and in order");
-    }
+    p.id = parse_number<PoiId>(fields[0], line_no, "id");
+    if (p.id != pois.size()) fail(line_no, "ids must be dense and in order");
+    p.type = registry.intern(std::string(fields[1]));
+    p.pos = {parse_number<double>(fields[2], line_no, "x_km"),
+             parse_number<double>(fields[3], line_no, "y_km")};
     pois.push_back(p);
   }
   return PoiDatabase(city, std::move(pois), std::move(registry), bounds);

@@ -19,7 +19,11 @@ namespace poiprivacy::poi {
 void save_csv(const PoiDatabase& db, std::ostream& out);
 void save_csv(const PoiDatabase& db, const std::string& path);
 
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error naming the line on malformed input: a
+/// missing or non-finite header bound, min >= max, a row without exactly
+/// 4 fields, an empty type, a field with trailing junk, a non-finite
+/// coordinate, or ids that are not dense and in order. A trailing '\r'
+/// (CRLF files) is stripped from every line; empty lines are skipped.
 PoiDatabase load_csv(std::istream& in);
 PoiDatabase load_csv(const std::string& path);
 

@@ -71,7 +71,7 @@ ReleaseCache::Shard& ReleaseCache::shard_for(
   return shards_[hash(key) % shards_.size()];
 }
 
-std::shared_ptr<const CloakAggregate> ReleaseCache::get(
+std::shared_ptr<const defense::CloakAggregate> ReleaseCache::get(
     const ReleaseCacheKey& key) {
   const std::size_t idx = hash(key) % shards_.size();
   Shard& shard = shards_[idx];
@@ -86,7 +86,7 @@ std::shared_ptr<const CloakAggregate> ReleaseCache::get(
 }
 
 void ReleaseCache::put(const ReleaseCacheKey& key,
-                       std::shared_ptr<const CloakAggregate> value) {
+                       std::shared_ptr<const defense::CloakAggregate> value) {
   const std::size_t idx = hash(key) % shards_.size();
   Shard& shard = shards_[idx];
   const std::lock_guard<std::mutex> lock(shard.mu);

@@ -1,11 +1,13 @@
 // Sharded LRU cache of cloak-region aggregates — the serving layer's
 // memoization of the expensive, non-private part of a DP release.
 //
-// The DP defense pipeline factors into
+// The DP defense pipeline (defense/opt_defense.h) factors into
 //   (1) cloak the requester into a k-anonymous quadrant,
-//   (2) average the frequency vectors of k dummy locations in it,
-//   (3) add per-dimension noise and post-process (Eq. 8-9).
-// Step (2) costs k range queries over the POI database; steps (3) are
+//   (2) fold the frequency vectors of k dummy locations in it
+//       (defense::fold_dummies -> defense::CloakAggregate),
+//   (3) add per-dimension noise and post-process (Eq. 8-9:
+//       defense::noise_aggregate, defense::postprocess_release).
+// Step (2) costs k range queries over the POI database; step (3) is
 // O(M). The cache keys step (2) on (cloaked region, radius, policy): the
 // canonical dummy set is drawn from the region itself with an RNG derived
 // from the key (see ReleaseService), so the aggregate is a pure function
@@ -44,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "defense/opt_defense.h"
 #include "geo/geometry.h"
 #include "obs/metrics.h"
 
@@ -72,18 +75,6 @@ struct ReleaseCacheKey {
 
   friend bool operator==(const ReleaseCacheKey&,
                          const ReleaseCacheKey&) = default;
-};
-
-/// The cached step-(2) result: per-type sums and sensitivities over the
-/// region's k canonical dummy locations (sensitivity_i = max_d F_d[i],
-/// the Gaussian mechanism's per-dimension calibration). Stream blocks
-/// (key kind 1) reuse the container: `sum` holds the raw window-major
-/// per-series counts, `sensitivity` the single stream sensitivity, and
-/// `k` the series count.
-struct CloakAggregate {
-  std::vector<double> sum;
-  std::vector<double> sensitivity;
-  std::size_t k = 0;
 };
 
 /// Monotone counters; under ReleaseService's serial probe order they are
@@ -124,12 +115,13 @@ class ReleaseCache {
 
   /// The aggregate for `key`, refreshing its LRU position and TTL stamp,
   /// or nullptr.
-  std::shared_ptr<const CloakAggregate> get(const ReleaseCacheKey& key);
+  std::shared_ptr<const defense::CloakAggregate> get(
+      const ReleaseCacheKey& key);
 
   /// Inserts (or refreshes) `key`, evicting the shard's LRU entry when
   /// the shard is full.
   void put(const ReleaseCacheKey& key,
-           std::shared_ptr<const CloakAggregate> value);
+           std::shared_ptr<const defense::CloakAggregate> value);
 
   /// Owner-driven epoch clock for TTL expiry (no-op bookkeeping when
   /// ttl_epochs is 0). advance_epoch never evicts by itself.
@@ -150,7 +142,7 @@ class ReleaseCache {
  private:
   struct Entry {
     ReleaseCacheKey key;
-    std::shared_ptr<const CloakAggregate> value;
+    std::shared_ptr<const defense::CloakAggregate> value;
     std::uint64_t touch_epoch = 0;
   };
   struct KeyHash {

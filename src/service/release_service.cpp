@@ -7,7 +7,6 @@
 
 #include "common/parallel.h"
 #include "common/stopwatch.h"
-#include "dp/discrete.h"
 #include "dp/mechanisms.h"
 #include "obs/metrics.h"
 
@@ -21,6 +20,20 @@ constexpr std::size_t kCloakChunk = 8;
 constexpr std::size_t kComputeChunk = 1;
 
 constexpr std::size_t kNotMissing = static_cast<std::size_t>(-1);
+
+/// The one request check of the batch and per-request paths: a known
+/// policy, finite coordinates, a finite radius in (0, diagonal of the
+/// city's bounding box], and a query disk that touches the box. Nothing
+/// else is a real query, and an unbounded radius would reach the
+/// double -> int cell casts of the spatial index.
+bool valid_request(const ReleaseRequest& request, std::size_t num_policies,
+                   const geo::BBox& bounds) {
+  const double r = request.radius;
+  return request.policy < num_policies && std::isfinite(request.location.x) &&
+         std::isfinite(request.location.y) && std::isfinite(r) && r > 0.0 &&
+         r <= std::hypot(bounds.width(), bounds.height()) &&
+         bounds.intersects_disk(request.location, r);
+}
 
 struct KeyHash {
   std::size_t operator()(const ReleaseCacheKey& key) const noexcept {
@@ -73,6 +86,37 @@ struct ServiceMetrics {
   }
 };
 
+/// The per-status counter of a stats block (ServiceStats, the
+/// concurrent atomics, or their ServiceMetrics mirrors).
+template <typename Stats>
+auto& status_slot(Stats& stats, ReleaseStatus status) noexcept {
+  switch (status) {
+    case ReleaseStatus::kGranted:
+      return stats.granted;
+    case ReleaseStatus::kDegraded:
+      return stats.degraded;
+    case ReleaseStatus::kBudgetExhausted:
+      return stats.budget_exhausted;
+    case ReleaseStatus::kInvalidRequest:
+      break;
+  }
+  return stats.invalid;
+}
+
+/// One count into a deterministic stat and its registry mirror.
+void bump(std::uint64_t& stat, obs::Counter& mirror) {
+  ++stat;
+  mirror.add(1);
+}
+void bump(std::atomic<std::uint64_t>& stat, obs::Counter& mirror) {
+  stat.fetch_add(1, std::memory_order_relaxed);
+  mirror.add(1);
+}
+template <typename Stats>
+void bump_status(Stats& stats, ReleaseStatus status) {
+  bump(status_slot(stats, status), status_slot(ServiceMetrics::get(), status));
+}
+
 }  // namespace
 
 const char* status_name(ReleaseStatus status) noexcept {
@@ -90,17 +134,7 @@ const char* status_name(ReleaseStatus status) noexcept {
 }
 
 std::uint64_t ServiceStats::count(ReleaseStatus status) const noexcept {
-  switch (status) {
-    case ReleaseStatus::kGranted:
-      return granted;
-    case ReleaseStatus::kDegraded:
-      return degraded;
-    case ReleaseStatus::kBudgetExhausted:
-      return budget_exhausted;
-    case ReleaseStatus::kInvalidRequest:
-      return invalid;
-  }
-  return 0;
+  return status_slot(*this, status);
 }
 
 ReleaseService::ReleaseService(const poi::PoiDatabase& db,
@@ -130,17 +164,14 @@ ReleaseService::ReleaseService(const poi::PoiDatabase& db,
       throw std::invalid_argument("service: ill-formed policy '" +
                                   policy.name + "'");
     }
+    policy_costs_.push_back(dp::FixedBudget::cost_of(
+        {policy.release.epsilon, policy.release.delta}));
   }
   if (config_.degrade_policy &&
       *config_.degrade_policy >= config_.policies.size()) {
     throw std::invalid_argument("service: degrade_policy out of range");
   }
   if (config_.max_batch == 0) config_.max_batch = 1;
-  policy_costs_.reserve(config_.policies.size());
-  for (const ReleasePolicy& policy : config_.policies) {
-    policy_costs_.push_back(dp::FixedBudget::cost_of(
-        {policy.release.epsilon, policy.release.delta}));
-  }
 }
 
 ReleaseStatus ReleaseService::admit(UserId user, PolicyId requested,
@@ -192,77 +223,15 @@ ServiceStats ReleaseService::concurrent_stats() const {
   return out;
 }
 
-CloakAggregate ReleaseService::compute_aggregate(
+defense::CloakAggregate ReleaseService::compute_aggregate(
     const ReleaseCacheKey& key) const {
   // The dummy draw seeds from the key hash, so the aggregate is a pure
   // function of the key: recomputing after an eviction (or on another
   // thread) reproduces it bit-for-bit.
   common::Rng rng = aggregate_base_.substream(ReleaseCache::hash(key));
-  const defense::DpDefenseConfig& policy =
-      config_.policies[key.policy].release;
-  const std::vector<geo::Point> dummies =
-      cloaker_->region_dummy_locations(key.region, policy.k, rng);
-  const std::size_t m = db_->num_types();
-  CloakAggregate aggregate;
-  aggregate.k = dummies.size();
-  aggregate.sum.assign(m, 0.0);
-  aggregate.sensitivity.assign(m, 0.0);
-  // Shared per-thread scratch (compute_aggregate runs on pool workers in
-  // Phase D; see poi::scratch_arena for the lifetime contract): the k
-  // dummy aggregates land in one reusable buffer, so steady-state batches
-  // allocate nothing for the frequency queries. The per-type additions
-  // keep their ascending-dummy order, so the sums match the old
-  // vector-at-a-time loop bit-for-bit.
-  poi::FreqArena& arena = poi::scratch_arena();
-  db_->freq_batch(dummies, key.radius, arena);
-  // A dummy that saw zero POIs contributes nothing to either fold (+0 to
-  // every sum, max against 0 sensitivities), so an all-clear fingerprint
-  // skips the row without changing a bit of the aggregate. Sparse regions
-  // at small radii hit this constantly.
-  arena.pack_fingerprints();
-  for (std::size_t d = 0; d < arena.rows(); ++d) {
-    if (poi::fingerprint_empty(arena.fingerprint(d))) continue;
-    const std::span<const std::int32_t> row = arena.row(d);
-    for (std::size_t i = 0; i < m; ++i) {
-      aggregate.sum[i] += row[i];
-      aggregate.sensitivity[i] =
-          std::max(aggregate.sensitivity[i], static_cast<double>(row[i]));
-    }
-  }
-  return aggregate;
-}
-
-poi::FrequencyVector ReleaseService::noised_release(
-    const defense::DpDefenseConfig& policy, const CloakAggregate& aggregate,
-    common::Rng& rng) const {
-  const std::size_t m = db_->num_types();
-  const double k = static_cast<double>(aggregate.k);
-  std::vector<double> mean(m, 0.0);
-  const dp::PrivacyParams params{policy.epsilon, policy.delta};
-  for (std::size_t i = 0; i < m; ++i) {
-    double noised = aggregate.sum[i];
-    if (aggregate.sensitivity[i] > 0.0) {
-      switch (policy.noise) {
-        case defense::DpNoiseKind::kGaussian: {
-          const double sigma = dp::GaussianMechanism::calibrated_sigma(
-              params, aggregate.sensitivity[i]);
-          noised += rng.normal(0.0, sigma);
-          break;
-        }
-        case defense::DpNoiseKind::kGeometric: {
-          const dp::GeometricMechanism mech(
-              policy.epsilon,
-              static_cast<std::int64_t>(aggregate.sensitivity[i]));
-          noised = static_cast<double>(mech.perturb(
-              static_cast<std::int64_t>(std::llround(noised)), rng));
-          break;
-        }
-      }
-    }
-    mean[i] = noised / k;
-  }
-  return defense::postprocess_release(*db_, std::move(mean), policy.beta,
-                                      policy.max_injection);
+  const std::vector<geo::Point> dummies = cloaker_->region_dummy_locations(
+      key.region, config_.policies[key.policy].release.k, rng);
+  return defense::fold_dummies(*db_, dummies, key.radius);
 }
 
 struct ReleaseService::Admitted {
@@ -270,7 +239,7 @@ struct ReleaseService::Admitted {
   PolicyId policy = 0;
   std::uint64_t noise_index = 0;
   ReleaseCacheKey key;
-  std::shared_ptr<const CloakAggregate> aggregate;
+  std::shared_ptr<const defense::CloakAggregate> aggregate;
   std::size_t missing_slot = kNotMissing;
   bool cache_hit = false;  ///< resident, or coalesced onto a batch peer
 };
@@ -294,41 +263,22 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
     ReleaseResult& out = results[base + i];
     const std::uint64_t noise_index =
         next_request_index_.fetch_add(1, std::memory_order_relaxed);
-    ++stats_.requests;
-    metrics.requests.add(1);
-    if (request.policy >= config_.policies.size() ||
-        !(request.radius > 0.0)) {
-      out.status = ReleaseStatus::kInvalidRequest;
-      out.spent = {0.0, 0.0};
-      ++stats_.invalid;
-      metrics.invalid.add(1);
-      continue;
+    bump(stats_.requests, metrics.requests);
+    if (!valid_request(request, config_.policies.size(), db_->bounds())) {
+      bump_status(stats_, ReleaseStatus::kInvalidRequest);
+      continue;  // `out` stays a spend-nothing kInvalidRequest
     }
     const bool known = sessions_.contains(request.user_id);
-    PolicyId served = request.policy;
-    const ReleaseStatus status = admit(request.user_id, request.policy, served);
+    out.status = admit(request.user_id, request.policy, out.served_policy);
     // try_charge claims the session even when it refuses on budget, so a
     // first contact counts as a user unless the table was full.
     if (!known && sessions_.contains(request.user_id)) ++stats_.users;
     out.spent = sessions_.spent(request.user_id);
-    if (status == ReleaseStatus::kBudgetExhausted) {
-      out.status = status;
-      ++stats_.budget_exhausted;
-      metrics.budget_exhausted.add(1);
-      continue;
-    }
-    out.status = status;
-    out.served_policy = served;
-    if (status == ReleaseStatus::kGranted) {
-      ++stats_.granted;
-      metrics.granted.add(1);
-    } else {
-      ++stats_.degraded;
-      metrics.degraded.add(1);
-    }
+    bump_status(stats_, out.status);
+    if (out.status == ReleaseStatus::kBudgetExhausted) continue;
     Admitted a;
     a.index = i;
-    a.policy = served;
+    a.policy = out.served_policy;
     a.noise_index = noise_index;
     admitted.push_back(std::move(a));
   }
@@ -364,33 +314,31 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
     if (auto hit = cache_.get(a.key)) {
       a.aggregate = std::move(hit);
       a.cache_hit = true;
-      ++stats_.cache_hits;
-      metrics.cache_hits.add(1);
+      bump(stats_.cache_hits, metrics.cache_hits);
       continue;
     }
     if (const auto it = pending.find(a.key); it != pending.end()) {
       a.missing_slot = it->second;
       a.cache_hit = true;
-      ++stats_.cache_hits;
-      metrics.cache_hits.add(1);
+      bump(stats_.cache_hits, metrics.cache_hits);
       continue;
     }
     a.missing_slot = missing.size();
     pending.emplace(a.key, missing.size());
     missing.push_back(a.key);
-    ++stats_.cache_misses;
-    metrics.cache_misses.add(1);
+    bump(stats_.cache_misses, metrics.cache_misses);
   }
   probe_span.stop();
 
   // Phase D — compute the missing aggregates (parallel, the expensive
   // part: k range queries per key).
   obs::Span compute_span(metrics.compute_seconds);
-  std::vector<std::shared_ptr<const CloakAggregate>> computed(missing.size());
+  std::vector<std::shared_ptr<const defense::CloakAggregate>> computed(
+      missing.size());
   common::parallel_for_each(
       pool, missing.size(), kComputeChunk, [&](std::size_t j) {
-        computed[j] =
-            std::make_shared<const CloakAggregate>(compute_aggregate(missing[j]));
+        computed[j] = std::make_shared<const defense::CloakAggregate>(
+            compute_aggregate(missing[j]));
       });
   compute_span.stop();
 
@@ -411,16 +359,18 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
   common::parallel_for_each(
       pool, admitted.size(), kComputeChunk, [&](std::size_t j) {
         const Admitted& a = admitted[j];
+        const defense::DpDefenseConfig& policy =
+            config_.policies[a.policy].release;
         common::Rng rng = noise_base_.substream(a.noise_index);
         ReleaseResult& out = results[base + a.index];
-        out.vector = noised_release(config_.policies[a.policy].release,
-                                    *a.aggregate, rng);
+        out.vector = defense::postprocess_release(
+            *db_, defense::noise_aggregate(policy, *a.aggregate, rng),
+            policy.beta, policy.max_injection);
         out.cache_hit = a.cache_hit;
       });
   noise_span.stop();
 
-  ++stats_.batches;
-  metrics.batches.add(1);
+  bump(stats_.batches, metrics.batches);
   batch_sizes_.push_back(requests.size());
   batch_seconds_.push_back(timer.seconds());
 }
@@ -463,8 +413,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   // serve_concurrent: a sequential caller is fully reproducible.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
-  concurrent_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics.requests.add(1);
+  bump(concurrent_.requests, metrics.requests);
   const StreamSource* source = stream_source_;
   const std::size_t windows =
       source == nullptr ? 0
@@ -474,10 +423,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
       request.series >= source->num_series() ||
       request.end_epoch > source->epochs() ||
       request.begin_epoch >= request.end_epoch || windows == 0) {
-    out.status = ReleaseStatus::kInvalidRequest;
-    out.spent = {0.0, 0.0};
-    concurrent_.invalid.fetch_add(1, std::memory_order_relaxed);
-    metrics.invalid.add(1);
+    bump_status(concurrent_, ReleaseStatus::kInvalidRequest);
     return out;
   }
   // One admission charge covers the whole block: W windows, each a
@@ -496,54 +442,45 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   cost.delta_units = scale(cost.delta_units, windows);
   const ChargeOutcome charged = sessions_.try_charge(request.user_id, cost);
   out.spent = sessions_.spent(request.user_id);
-  if (charged != ChargeOutcome::kCharged) {
-    // A full table refuses fail-closed, indistinguishable from an
-    // exhausted budget on the wire.
-    out.status = ReleaseStatus::kBudgetExhausted;
-    concurrent_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
-    metrics.budget_exhausted.add(1);
-    return out;
-  }
-  out.status = ReleaseStatus::kGranted;
+  // A full table refuses fail-closed, indistinguishable from an
+  // exhausted budget on the wire.
+  out.status = charged == ChargeOutcome::kCharged
+                   ? ReleaseStatus::kGranted
+                   : ReleaseStatus::kBudgetExhausted;
+  bump_status(concurrent_, out.status);
+  if (out.status == ReleaseStatus::kBudgetExhausted) return out;
   out.served_policy = request.policy;
-  concurrent_.granted.fetch_add(1, std::memory_order_relaxed);
-  metrics.granted.add(1);
   // The raw block is policy-independent (noise is per-request), so all
   // policies share one kind-1 cache entry per window range.
   ReleaseCacheKey key;
   key.kind = 1;
   key.stream_begin = request.begin_epoch;
   key.stream_end = request.end_epoch;
-  std::shared_ptr<const CloakAggregate> block = cache_.get(key);
+  std::shared_ptr<const defense::CloakAggregate> block = cache_.get(key);
   if (block) {
     out.cache_hit = true;
-    concurrent_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_hits.add(1);
+    bump(concurrent_.cache_hits, metrics.cache_hits);
   } else {
-    auto computed = std::make_shared<CloakAggregate>();
+    auto computed = std::make_shared<defense::CloakAggregate>();
     source->release_raw(request.begin_epoch, request.end_epoch,
                         computed->sum);
     computed->sensitivity.assign(1, source->sensitivity());
     computed->k = source->num_series();
     block = std::move(computed);
     cache_.put(key, block);
-    concurrent_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_misses.add(1);
+    bump(concurrent_.cache_misses, metrics.cache_misses);
   }
-  // Per-request noise: one Laplace draw per window for the requested
-  // series, window-ascending (mirrors mia/stream_release: rounded,
-  // clamped at zero).
-  const defense::DpDefenseConfig& policy =
-      config_.policies[request.policy].release;
-  const dp::LaplaceMechanism laplace(policy.epsilon, block->sensitivity[0]);
+  // Per-request noise: one Laplace count per window for the requested
+  // series, window-ascending (the same mechanism as mia/stream_release).
+  const dp::LaplaceMechanism laplace(
+      config_.policies[request.policy].release.epsilon,
+      block->sensitivity[0]);
   common::Rng rng = noise_base_.substream(noise_index);
   const std::size_t stride = block->k;
   out.vector.resize(windows);
   for (std::size_t w = 0; w < windows; ++w) {
-    const double noised =
-        laplace.perturb(block->sum[w * stride + request.series], rng);
     out.vector[w] =
-        static_cast<std::int32_t>(std::max(0.0, std::round(noised)));
+        laplace.release_count(block->sum[w * stride + request.series], rng);
   }
   return out;
 }
@@ -556,54 +493,39 @@ ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
   // substream assignment exactly.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
-  concurrent_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics.requests.add(1);
-  if (request.policy >= config_.policies.size() || !(request.radius > 0.0)) {
-    out.status = ReleaseStatus::kInvalidRequest;
-    out.spent = {0.0, 0.0};
-    concurrent_.invalid.fetch_add(1, std::memory_order_relaxed);
-    metrics.invalid.add(1);
-    return out;
+  bump(concurrent_.requests, metrics.requests);
+  if (!valid_request(request, config_.policies.size(), db_->bounds())) {
+    bump_status(concurrent_, ReleaseStatus::kInvalidRequest);
+    return out;  // a spend-nothing kInvalidRequest
   }
-  PolicyId served = request.policy;
-  const ReleaseStatus status = admit(request.user_id, request.policy, served);
+  out.status = admit(request.user_id, request.policy, out.served_policy);
   out.spent = sessions_.spent(request.user_id);
-  out.status = status;
-  if (status == ReleaseStatus::kBudgetExhausted) {
-    concurrent_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
-    metrics.budget_exhausted.add(1);
-    return out;
-  }
-  out.served_policy = served;
-  if (status == ReleaseStatus::kGranted) {
-    concurrent_.granted.fetch_add(1, std::memory_order_relaxed);
-    metrics.granted.add(1);
-  } else {
-    concurrent_.degraded.fetch_add(1, std::memory_order_relaxed);
-    metrics.degraded.add(1);
-  }
+  bump_status(concurrent_, out.status);
+  if (out.status == ReleaseStatus::kBudgetExhausted) return out;
+  const PolicyId served = out.served_policy;
   ReleaseCacheKey key;
   key.region =
       cloaker_->cloak(request.location, config_.policies[served].release.k)
           .region;
   key.radius = request.radius;
   key.policy = served;
-  std::shared_ptr<const CloakAggregate> aggregate = cache_.get(key);
+  std::shared_ptr<const defense::CloakAggregate> aggregate = cache_.get(key);
   if (aggregate) {
     out.cache_hit = true;
-    concurrent_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_hits.add(1);
+    bump(concurrent_.cache_hits, metrics.cache_hits);
   } else {
     // No cross-thread coalescing here: two threads cold-probing one key
     // both compute, and the later put refreshes the (identical) entry.
-    aggregate = std::make_shared<const CloakAggregate>(compute_aggregate(key));
+    aggregate = std::make_shared<const defense::CloakAggregate>(
+        compute_aggregate(key));
     cache_.put(key, aggregate);
-    concurrent_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_misses.add(1);
+    bump(concurrent_.cache_misses, metrics.cache_misses);
   }
+  const defense::DpDefenseConfig& policy = config_.policies[served].release;
   common::Rng rng = noise_base_.substream(noise_index);
-  out.vector =
-      noised_release(config_.policies[served].release, *aggregate, rng);
+  out.vector = defense::postprocess_release(
+      *db_, defense::noise_aggregate(policy, *aggregate, rng), policy.beta,
+      policy.max_injection);
   return out;
 }
 

@@ -2,19 +2,25 @@
 //
 // The paper's threat model has a geo-information service provider
 // publishing protected POI frequency vectors to a large user population;
-// the library pieces (DpDefense, dp::Ledger) are per-call, per-user. This subsystem is the long-lived in-process service that
-// sits on top of them:
+// the library pieces (DpDefense, dp::Ledger) are per-call, per-user.
+// This subsystem is the long-lived in-process service that sits on top
+// of them:
 //
 //   * a sharded, fixed-capacity session/budget table (session_table.h):
 //     admission charges are lock-free on the hot path (one CAS on a
-//     fixed-point budget word per request — dp::Ledger's fixed-point
-//     backend, fleet-wide);
+//     fixed-point dp::AtomicBudgetMeter word per request — the serving
+//     meter, never looser than the exact dp::Ledger, see dp/budget.h);
+//   * one request validator for both serving paths: a known policy,
+//     finite coordinates, a finite radius in (0, diagonal of the city's
+//     bounding box], and a query disk that touches the box;
 //   * admission control: a request whose composed (eps, delta) would
 //     exceed the ceiling is degraded to a cheaper policy (if configured)
 //     or refused with a typed ReleaseStatus — never an exception;
 //   * a sharded LRU+TTL cache of cloak-region aggregates so users
 //     cloaked into the same quadrant share the k range queries
-//     (release_cache.h);
+//     (release_cache.h); the aggregate is defense::fold_dummies and the
+//     noise defense::noise_aggregate — the same Eq. (8) code DpDefense
+//     runs;
 //   * two serving paths over the same state:
 //       - the deterministic batch path: enqueue() fills a bounded queue
 //         that drains onto the common/parallel thread pool in 6 phases;
@@ -48,10 +54,10 @@
 // budgets. Cache expiry never changes a released vector (see 4);
 // session expiry RENEWS the user's budget on next contact, and — when
 // session_renew_epochs is set — every resident budget renews when the
-// epoch clock crosses an accounting-window boundary (dp::Ledger's
-// kWindowedRenewal policy, fleet-wide). The owner opts in and drives
-// the clock explicitly, so eviction/renewal timing is part of the call
-// sequence, never of thread scheduling.
+// epoch clock crosses an accounting-window boundary (w-event renewal,
+// fleet-wide, like dp::Ledger's kWindowedRenewal policy). The owner
+// opts in and drives the clock explicitly, so eviction/renewal timing is
+// part of the call sequence, never of thread scheduling.
 //
 // Continual releases: serve_stream() serves per-tile sliding-window
 // aggregate streams (an attached StreamSource, e.g. the mia releaser)
@@ -64,7 +70,8 @@
 // region's canonical dummies, not from the requester's exact location, so
 // the pre-noise value is already k-anonymous (that is exactly what makes
 // it shareable across users); the per-request Gaussian/geometric noise
-// then provides the (eps, delta) guarantee that the ledger composes.
+// then provides the (eps, delta) guarantee that the session meter
+// composes.
 #pragma once
 
 #include <atomic>
@@ -118,7 +125,7 @@ enum class ReleaseStatus : std::uint8_t {
   kGranted = 0,          ///< served under the requested policy
   kDegraded,             ///< budget-limited; served under degrade_policy
   kBudgetExhausted,      ///< refused: no admissible policy fits the budget
-  kInvalidRequest,       ///< unknown policy or nonpositive radius
+  kInvalidRequest,       ///< failed the request validator; spends nothing
 };
 
 inline constexpr ReleaseStatus kAllStatuses[] = {
@@ -135,7 +142,7 @@ struct ReleaseResult {
   PolicyId served_policy = 0;    ///< meaningful when a vector was released
   bool cache_hit = false;        ///< aggregate came from the release cache
   poi::FrequencyVector vector;   ///< empty unless granted/degraded
-  dp::PrivacyParams spent;       ///< user's composed budget after this call
+  dp::PrivacyParams spent{0.0, 0.0};  ///< user's budget after this call
 
   friend bool operator==(const ReleaseResult& a, const ReleaseResult& b) {
     return a.status == b.status && a.served_policy == b.served_policy &&
@@ -299,10 +306,7 @@ class ReleaseService {
   void serve_batch(std::span<const ReleaseRequest> requests,
                    std::vector<ReleaseResult>& results);
   void drain_queue();
-  CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
-  poi::FrequencyVector noised_release(const defense::DpDefenseConfig& policy,
-                                      const CloakAggregate& aggregate,
-                                      common::Rng& rng) const;
+  defense::CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
 
   const poi::PoiDatabase* db_;
   const cloak::AdaptiveIntervalCloaker* cloaker_;

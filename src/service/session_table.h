@@ -20,8 +20,8 @@
 // (ttl_epochs = 0 disables eviction and restores the unbounded per-user
 // guarantee). Reclaimed slots become tombstones so concurrent lock-free
 // probes stay correct; tombstones are recycled by later inserts under
-// the shard mutex. Orthogonally, renew_windows() implements dp::Ledger's
-// kWindowedRenewal policy fleet-wide: epochs group into fixed-length
+// the shard mutex. Orthogonally, renew_windows() is the serving meter's
+// counterpart of dp::Ledger's kWindowedRenewal policy, fleet-wide: epochs group into fixed-length
 // accounting windows (renew_window_epochs each), and when the epoch
 // clock crosses a window boundary every RESIDENT session's meter resets
 // to a fresh budget — the w-event-style guarantee where the ceiling
@@ -73,7 +73,7 @@ struct SessionTableConfig {
   std::uint64_t ttl_epochs = 0;
   /// Epochs per budget-accounting window: renew_windows() resets every
   /// resident meter when the epoch clock crosses a window boundary
-  /// (dp::Ledger kWindowedRenewal, fleet-wide); 0 disables renewal and
+  /// (w-event renewal, fleet-wide); 0 disables renewal and
   /// the ceilings bound the session's lifetime.
   std::uint64_t renew_window_epochs = 0;
   /// Per-user budget ceilings (quantized via dp::FixedBudget).

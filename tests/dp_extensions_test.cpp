@@ -119,8 +119,8 @@ namespace {
 Ledger basic_ledger() { return Ledger(LedgerConfig{}); }
 
 Ledger windowed_ledger(WindowPolicy window) {
-  return Ledger(LedgerConfig{LedgerPolicy::kWindowedRenewal,
-                             LedgerBackend::kExact, 0.0, 0.0, 0.0, window});
+  return Ledger(
+      LedgerConfig{LedgerPolicy::kWindowedRenewal, 0.0, 0.0, 0.0, window});
 }
 
 }  // namespace
@@ -224,13 +224,6 @@ TEST(Ledger, EmptyLedgerIsFree) {
 TEST(WindowedLedger, RejectsBadPolicy) {
   EXPECT_THROW(windowed_ledger({0, 1.0}), std::invalid_argument);
   EXPECT_THROW(windowed_ledger({4, -1.0}), std::invalid_argument);
-}
-
-TEST(WindowedLedger, RejectsHeterogeneousOverFixedPoint) {
-  EXPECT_THROW(Ledger(LedgerConfig{LedgerPolicy::kAdvancedHeterogeneous,
-                                   LedgerBackend::kFixedPoint, 1.0, 0.1, 1e-6,
-                                   WindowPolicy{}}),
-               std::invalid_argument);
 }
 
 TEST(WindowedLedger, EpochsMapOntoFixedWindows) {

@@ -1,6 +1,6 @@
 // Smoke-regression goldens for the three figure pipelines (fig02
-// sanitization recovery, fig05 k-cloaking, fig11 DP defense) on a tiny
-// fixed synthetic city. The exact numbers below were captured from a
+// sanitization recovery, fig05 k-cloaking, fig11 DP defense) and for the
+// serving layer's released vectors, on a tiny fixed synthetic city. The exact numbers below were captured from a
 // trusted run at seed 4242; any behavioural drift in the attack, defense,
 // cloaking, sanitization or evaluation layers shows up here as a diff of
 // a handful of integers, not a silent accuracy regression.
@@ -13,8 +13,11 @@
 // AttackStats are independent of test ordering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
+#include "attack/attack_context.h"
 #include "attack/recovery.h"
 #include "cloak/kcloak.h"
 #include "common/parallel.h"
@@ -23,6 +26,8 @@
 #include "defense/sanitizer.h"
 #include "eval/datasets.h"
 #include "eval/runner.h"
+#include "mia/stream_serving.h"
+#include "service/workload.h"
 
 namespace poiprivacy {
 namespace {
@@ -133,6 +138,113 @@ TEST(GoldenRegression, Fig11DpDefenseAttackAndUtility) {
       eval::evaluate_utility(db, locations, kRangeKm, release, release_seed);
   EXPECT_EQ(utility.samples, 40u);
   EXPECT_NEAR(utility.mean_jaccard, 0.4475048480930832, 1e-9);
+}
+
+/// FNV-1a over what a client sees of each result: the status, the
+/// cache-hit flag, and every released count.
+class ResultDigest {
+ public:
+  void add(const service::ReleaseResult& result) {
+    byte(static_cast<std::uint8_t>(result.status));
+    byte(result.cache_hit ? 1 : 0);
+    for (const std::int32_t count : result.vector) {
+      const auto bits = static_cast<std::uint32_t>(count);
+      for (int shift = 0; shift < 32; shift += 8) {
+        byte(static_cast<std::uint8_t>(bits >> shift));
+      }
+    }
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ull;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+TEST(GoldenRegression, ServiceReleaseVectors) {
+  const poi::City city = poi::generate_city(poi::test_preset(), kSeed);
+  common::Rng pop_rng(kSeed + 61);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(city.db.bounds(), 400, pop_rng),
+      city.db.bounds());
+  service::ServiceConfig config;
+  config.policies.push_back(
+      {"gaussian", {.k = 8, .epsilon = 1.0, .delta = 0.05}});
+  config.policies.push_back({"geometric",
+                             {.k = 6,
+                              .epsilon = 0.5,
+                              .delta = 0.0,
+                              .noise = defense::DpNoiseKind::kGeometric}});
+  config.degrade_policy = 1;
+  config.epsilon_ceiling = 4.0;
+  config.delta_ceiling = 1.0;
+  config.seed = kSeed;
+
+  service::WorkloadConfig workload;
+  workload.num_users = 5;
+  workload.requests_per_user = 6;
+  workload.seed = kSeed + 7;
+  workload.radii = {0.8, 1.5};
+  workload.policy_weights = {0.6, 0.4};
+  const std::vector<service::ReleaseRequest> trace =
+      service::requests_of(service::generate_workload(city, workload));
+  ASSERT_EQ(trace.size(), 30u);
+
+  // The batch path.
+  ResultDigest batch;
+  {
+    service::ReleaseService gsp(city.db, cloaker, config);
+    for (const auto& result : gsp.serve(trace)) batch.add(result);
+    EXPECT_EQ(gsp.stats().granted, 25u);
+    EXPECT_EQ(gsp.stats().degraded, 2u);
+    EXPECT_EQ(gsp.stats().budget_exhausted, 3u);
+    EXPECT_EQ(gsp.stats().cache_hits, 2u);
+  }
+  EXPECT_EQ(batch.value(), 16566293950369913810ull);
+
+  // The per-request path, driven sequentially.
+  ResultDigest concurrent;
+  {
+    service::ReleaseService gsp(city.db, cloaker, config);
+    for (const auto& request : trace) {
+      concurrent.add(gsp.serve_concurrent(request));
+    }
+  }
+  EXPECT_EQ(concurrent.value(), 16566293950369913810ull);
+
+  // Continual-release stream blocks over the mia tile streams.
+  mia::MobilityConfig mobility;
+  mobility.num_users = 24;
+  mobility.epochs = 8;
+  mobility.visits_per_epoch = 3;
+  mobility.profile_tiles = 3;
+  const attack::AttackContext ctx(city.db);
+  const mia::UserTraces traces = mia::generate_traces(ctx, mobility, kSeed);
+  mia::StreamConfig stream_config;
+  stream_config.window_epochs = 2;
+  const mia::AggregateStreamReleaser releaser(traces, stream_config,
+                                              /*roi_tiles=*/16,
+                                              mobility.epochs / 2);
+  std::vector<std::uint32_t> group(mobility.num_users);
+  std::iota(group.begin(), group.end(), 0u);
+  const mia::TileStreamSource source(releaser, std::move(group));
+  ResultDigest stream;
+  {
+    service::ReleaseService gsp(city.db, cloaker, config);
+    gsp.attach_stream_source(&source);
+    for (const service::StreamRequest& request :
+         {service::StreamRequest{1, 0, 0, 4, 0},
+          service::StreamRequest{2, 3, 2, 8, 1},
+          service::StreamRequest{3, 0, 0, 4, 1}}) {
+      const service::ReleaseResult result = gsp.serve_stream(request);
+      EXPECT_EQ(result.status, service::ReleaseStatus::kGranted);
+      stream.add(result);
+    }
+  }
+  EXPECT_EQ(stream.value(), 1711113489033836015ull);
 }
 
 }  // namespace

@@ -201,9 +201,8 @@ TEST(StreamRelease, GoldenNoisedTable) {
   const std::vector<std::uint32_t> group{0, 1, 2};
   common::Rng rng(99);
   poi::FreqArena arena;
-  dp::Ledger ledger(dp::LedgerConfig{
-      dp::LedgerPolicy::kWindowedRenewal, dp::LedgerBackend::kExact, 0.0, 0.0,
-      0.0, config.accounting});
+  dp::Ledger ledger(dp::LedgerConfig{dp::LedgerPolicy::kWindowedRenewal, 0.0,
+                                     0.0, 0.0, config.accounting});
   releaser.release(group, 0, 4, rng, arena, &ledger);
   // Laplace(eps=1, sens=4) draws from Rng(99) in window-major order,
   // rounded and clamped at zero.

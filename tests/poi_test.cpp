@@ -357,5 +357,79 @@ TEST(Csv, RejectsNonDenseIds) {
   EXPECT_THROW(load_csv(buffer), std::runtime_error);
 }
 
+TEST(Csv, SaveLoadSaveIsByteIdentical) {
+  const City city = make_test_city();
+  std::stringstream first;
+  save_csv(city.db, first);
+  const std::string saved = first.str();
+  std::stringstream reread(saved);
+  std::stringstream second;
+  save_csv(load_csv(reread), second);
+  EXPECT_EQ(second.str(), saved);
+}
+
+TEST(Csv, AcceptsCrlfLineEndings) {
+  std::stringstream buffer(
+      "# city=x min_x=0 min_y=0 max_x=1 max_y=1\r\n"
+      "id,type,x_km,y_km\r\n0,cafe,0.5,0.25\r\n1,bar,0.75,0.5\r\n");
+  const PoiDatabase db = load_csv(buffer);
+  EXPECT_EQ(db.city_name(), "x");
+  EXPECT_DOUBLE_EQ(db.bounds().max_y, 1.0);
+  ASSERT_EQ(db.pois().size(), 2u);
+  EXPECT_EQ(db.types().name(db.pois()[1].type), "bar");
+  EXPECT_DOUBLE_EQ(db.pois()[1].pos.y, 0.5);
+}
+
+TEST(Csv, RejectsEveryMalformedFormWithRuntimeError) {
+  const std::string header = "# city=x min_x=0 min_y=0 max_x=1 max_y=1\n";
+  const std::string columns = "id,type,x_km,y_km\n";
+  const std::string good = "0,cafe,0.5,0.5\n";
+  const std::string bad_rows[] = {
+      "1,cafe,3.25abc,0.5\n",   // trailing junk
+      "1,cafe,0.5,0.5,x\n",     // a 5th field
+      "1,cafe,0.5\n",           // a missing field
+      "1,,0.5,0.5\n",           // empty type
+      "1,cafe,,0.5\n",          // empty coordinate
+      "x1,cafe,0.5,0.5\n",      // non-numeric id
+      "-1,cafe,0.5,0.5\n",      // negative id
+      "99999999999,cafe,0,0\n", // id out of range
+      "1,cafe,nan,0.5\n",       // non-finite coordinates
+      "1,cafe,0.5,inf\n",
+      "1,cafe,1e999,0.5\n",
+      "1,cafe, 0.5,0.5\n",      // whitespace is junk too
+      "1,cafe,0.5",              // truncated last row
+      "1,cafe,0.5,",
+  };
+  for (const std::string& row : bad_rows) {
+    std::stringstream buffer(header + columns + good + row);
+    EXPECT_THROW(load_csv(buffer), std::runtime_error) << row;
+  }
+  const std::string bad_headers[] = {
+      "# city=x min_x=0 min_y=0 max_x=1\n",            // missing bound
+      "# city=x min_x=0 min_y=0 max_x=1 max_y=nan\n",  // non-finite
+      "# city=x min_x=-inf min_y=0 max_x=1 max_y=1\n",
+      "# city=x min_x=0 min_y=0 max_x=1 max_y=1z\n",   // trailing junk
+      "# city=x min_x=1 min_y=0 max_x=1 max_y=1\n",    // min == max
+      "# city=x min_x=0 min_y=2 max_x=1 max_y=1\n",    // min > max
+  };
+  for (const std::string& bad : bad_headers) {
+    std::stringstream buffer(bad + columns + good);
+    EXPECT_THROW(load_csv(buffer), std::runtime_error) << bad;
+  }
+}
+
+TEST(Csv, ErrorsNameTheLine) {
+  std::stringstream buffer(
+      "# city=x min_x=0 min_y=0 max_x=1 max_y=1\n"
+      "id,type,x_km,y_km\n0,cafe,0.5,0.5\n\n1,cafe,0.5,0.5q\n");
+  try {
+    load_csv(buffer);
+    FAIL() << "malformed row accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace poiprivacy::poi

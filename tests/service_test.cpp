@@ -4,6 +4,9 @@
 // and the workload generator's per-user substream stability.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -185,6 +188,55 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
   // Invalid requests never create a session or spend budget.
   EXPECT_EQ(gsp.num_users(), 0u);
   EXPECT_EQ(gsp.stats().invalid, 2u);
+
+  // Hostile values are refused by one check on both serving paths:
+  // non-finite coordinates or radius, a radius beyond the city's
+  // diagonal, and a query disk that misses the city altogether.
+  const geo::BBox& box = city.db.bounds();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double diagonal = std::hypot(box.width(), box.height());
+  const geo::Point inside = box.center();
+  const service::ReleaseRequest hostile[] = {
+      {2, {nan, inside.y}, 1.0, 0},
+      {2, {inside.x, nan}, 1.0, 0},
+      {2, {inf, inside.y}, 1.0, 0},
+      {2, {inside.x, -inf}, 1.0, 0},
+      {2, inside, inf, 0},
+      {2, inside, nan, 0},
+      {2, inside, 1e300, 0},
+      {2, inside, -1.0, 0},
+      {2, inside, diagonal * 1.01, 0},
+      {2, {box.max_x + 5.0, inside.y}, 1.0, 0},
+      {2, {1e9, 1e9}, 1.0, 1},
+  };
+  for (const service::ReleaseRequest& request : hostile) {
+    const service::ReleaseResult batch = gsp.serve_one(request);
+    const service::ReleaseResult direct = gsp.serve_concurrent(request);
+    for (const service::ReleaseResult* result : {&batch, &direct}) {
+      EXPECT_EQ(result->status, service::ReleaseStatus::kInvalidRequest)
+          << request.location.x << "," << request.location.y << " r "
+          << request.radius;
+      EXPECT_TRUE(result->vector.empty());
+    }
+    EXPECT_EQ(gsp.num_users(), 0u);
+    EXPECT_DOUBLE_EQ(gsp.user_spent(2).epsilon, 0.0);
+    EXPECT_DOUBLE_EQ(gsp.user_spent(2).delta, 0.0);
+  }
+  EXPECT_EQ(gsp.stats().invalid, 2u + std::size(hostile));
+  EXPECT_EQ(gsp.concurrent_stats().invalid, std::size(hostile));
+
+  // A corner of the bounding box, or a disk that only reaches into it,
+  // is still a real query.
+  EXPECT_EQ(gsp.serve_one({3, {box.min_x, box.min_y}, 1.0, 0}).status,
+            service::ReleaseStatus::kGranted);
+  EXPECT_EQ(gsp.serve_concurrent({4, {box.max_x, box.max_y}, 1.0, 0}).status,
+            service::ReleaseStatus::kGranted);
+  EXPECT_EQ(gsp.serve_one({5, {box.max_x + 0.5, box.min_y}, 1.0, 0}).status,
+            service::ReleaseStatus::kGranted);
+  EXPECT_EQ(gsp.serve_concurrent({6, inside, diagonal, 0}).status,
+            service::ReleaseStatus::kGranted);
+  EXPECT_EQ(gsp.num_users(), 4u);
 }
 
 TEST(ReleaseService, CacheHitsAreDeterministic) {

@@ -26,8 +26,7 @@ dp::Ledger session_ledger(double epsilon_ceiling, double delta_ceiling,
   return dp::Ledger(dp::LedgerConfig{
       advanced_slack > 0.0 ? dp::LedgerPolicy::kAdvancedHeterogeneous
                            : dp::LedgerPolicy::kBasic,
-      dp::LedgerBackend::kExact, epsilon_ceiling, delta_ceiling,
-      advanced_slack, dp::WindowPolicy{}});
+      epsilon_ceiling, delta_ceiling, advanced_slack, dp::WindowPolicy{}});
 }
 
 /// The session's admission loop over up to `attempts` releases of
