@@ -2,7 +2,7 @@
 //
 //   poibench --list                      catalog with one line per scenario
 //   poibench --scenario NAME [flags...]  run one scenario with its flags
-//   poibench --all [--smoke] [flags...]  run every deterministic scenario in
+//   poibench --all [--smoke] [flags...]  run every scenario in
 //                                        registration order; --smoke uses
 //                                        each scenario's pinned tiny-city
 //                                        argument list, and any further
@@ -57,7 +57,6 @@ int run_all(int argc, char** argv, int first_extra_arg) {
     }
   }
   for (const Scenario& scenario : ScenarioRegistry::instance().all()) {
-    if (!scenario.deterministic) continue;
     std::cout << "==== " << scenario.name << " ====\n";
     std::cout.flush();
     std::vector<std::string> args{argv[0]};

@@ -7,6 +7,7 @@
 // is trained on one half of the pairs and the attack evaluated on the
 // other half.
 #include <iostream>
+#include <string>
 
 #include "attack/trajectory_attack.h"
 #include "common/stats.h"
@@ -66,9 +67,10 @@ int run(const eval::BenchOptions& options) {
     }
     const double single_rate = static_cast<double>(single) / attempts;
     const double enhanced_rate = static_cast<double>(enhanced) / attempts;
+    std::string gain = "+";
+    gain += common::fmt(enhanced_rate - single_rate);
     table.add_row({common::fmt(r, 1), common::fmt(single_rate),
-                   common::fmt(enhanced_rate),
-                   "+" + common::fmt(enhanced_rate - single_rate),
+                   common::fmt(enhanced_rate), gain,
                    std::to_string(attempts),
                    common::fmt(attack.validation_mae_km(), 2)});
   }

@@ -4,7 +4,7 @@
 // should fall monotonically toward the 0.5 coin-flip as the budget
 // shrinks — the defense's operating curve against the Pyrgelis-style
 // adversary. `--json FILE` additionally writes the table as one JSON
-// document (scripts/bench.sh commits it as BENCH_mia.json).
+// document (the committed BENCH_mia.json is one such run).
 #include <fstream>
 #include <iostream>
 

@@ -21,8 +21,6 @@ void register_all_scenarios() {
   register_ext_category_defense(registry);
   register_ext_chain_attack(registry);
   register_uniqueness_analysis(registry);
-  register_micro_core(registry);
-  register_service_throughput(registry);
   register_mia_raw(registry);
   register_mia_dp_sweep(registry);
   register_mia_priors(registry);

@@ -30,8 +30,6 @@ void register_ablation_robust_attack(eval::ScenarioRegistry& registry);
 void register_ext_category_defense(eval::ScenarioRegistry& registry);
 void register_ext_chain_attack(eval::ScenarioRegistry& registry);
 void register_uniqueness_analysis(eval::ScenarioRegistry& registry);
-void register_micro_core(eval::ScenarioRegistry& registry);
-void register_service_throughput(eval::ScenarioRegistry& registry);
 void register_mia_raw(eval::ScenarioRegistry& registry);
 void register_mia_dp_sweep(eval::ScenarioRegistry& registry);
 void register_mia_priors(eval::ScenarioRegistry& registry);

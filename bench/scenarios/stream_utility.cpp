@@ -10,9 +10,11 @@
 // window) and average over the stream; the windowed dp::Ledger runs
 // alongside, so the table's realized peak-window epsilon is the
 // accountant's, not the config's. `--json FILE` writes the sweep as one
-// JSON document (scripts/bench.sh commits it as
-// BENCH_stream_utility.json and asserts Jaccard is monotone in
-// epsilon).
+// JSON document (the committed BENCH_stream_utility.json is one such run).
+//
+// Every run checks that the Top-K Jaccard is non-decreasing in epsilon at
+// each window length; a violation is reported on stderr and the scenario
+// exits 1 (stdout is unchanged, so the smoke golden stays a pure table).
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -70,6 +72,7 @@ int run(const eval::BenchOptions& options) {
                      "top-k jaccard", "mean L1/window", "peak window eps"});
   const common::Rng noise_base(options.seed + 7);
   std::uint64_t arm = 0;
+  bool monotone = true;
   for (const std::size_t window_epochs : window_counts) {
     mia::StreamConfig config;
     config.window_epochs = window_epochs;
@@ -83,6 +86,7 @@ int run(const eval::BenchOptions& options) {
     raw_releaser.release(group, 0, mobility.epochs, raw_rng, raw);
     const std::size_t windows = raw.rows();
 
+    double prev_jaccard = 0.0;
     for (const double eps : epsilons) {
       mia::StreamConfig noised_config = config;
       noised_config.epsilon = eps;
@@ -110,6 +114,13 @@ int run(const eval::BenchOptions& options) {
       const double mean_l1 =
           windows == 0 ? 0.0 : l1_sum / static_cast<double>(windows);
       const double peak = ledger.peak_window_composition().epsilon;
+      if (mean_jaccard < prev_jaccard) {
+        std::cerr << "stream_utility: top-k jaccard fell to " << mean_jaccard
+                  << " at epsilon " << eps << " from " << prev_jaccard
+                  << " (window_epochs=" << window_epochs << ")\n";
+        monotone = false;
+      }
+      prev_jaccard = mean_jaccard;
 
       table.add_row({std::to_string(window_epochs), common::fmt(eps, 1),
                      std::to_string(windows), common::fmt(mean_jaccard),
@@ -145,7 +156,7 @@ int run(const eval::BenchOptions& options) {
     out << json.str() << "\n";
     if (!out) return 1;
   }
-  return 0;
+  return monotone ? 0 : 1;
 }
 
 }  // namespace

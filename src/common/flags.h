@@ -49,9 +49,9 @@ class Flags {
 
   /// Reads `--metrics[=path]` and arms an at-exit JSON dump of the obs
   /// metrics registry (obs::dump_on_exit): bare `--metrics` dumps to
-  /// stderr, `--metrics=FILE` to FILE. Does nothing without the flag, and
-  /// dumps `{}` in a -DPOIPRIVACY_NO_METRICS build. Binaries that accept
-  /// the flag must list kMetricsFlag among their known flags.
+  /// stderr, `--metrics=FILE` to FILE. Does nothing without the flag.
+  /// Binaries that accept the flag must list kMetricsFlag among their
+  /// known flags.
   void apply_metrics_flag() const;
 
   static constexpr const char* kThreadsFlag = "threads";

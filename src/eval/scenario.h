@@ -35,9 +35,6 @@ struct Scenario {
   /// the regression gate to run every scenario at several thread counts,
   /// pinned to a fixed seed so outputs are comparable across builds.
   std::vector<std::string> smoke_args;
-  /// True when stdout is a pure function of the flags (figure tables).
-  /// False for timing benchmarks, which `--all` therefore skips.
-  bool deterministic = true;
   /// The scenario body; returns the process exit code.
   std::function<int(const BenchOptions&)> run;
 };

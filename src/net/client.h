@@ -1,6 +1,5 @@
 // Minimal blocking client for the release-service wire protocol — the
-// counterpart of server.h used by the loopback bench driver
-// (bench/scenarios/service_throughput) and the framing tests.
+// counterpart of server.h, used by the framing tests.
 //
 // One TCP connection, synchronous call() or split send()/recv() for
 // pipelining (the server answers frames strictly in arrival order per

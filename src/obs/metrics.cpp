@@ -12,8 +12,6 @@
 
 namespace poiprivacy::obs {
 
-#ifndef POIPRIVACY_NO_METRICS
-
 namespace {
 
 /// Exact-percentile sample cap per histogram; see the header.
@@ -349,19 +347,5 @@ void dump_on_exit(const std::string& path) {
     }
   });
 }
-
-#else  // POIPRIVACY_NO_METRICS
-
-void Registry::render_json(eval::JsonWriter& json) {
-  json.begin_object();
-  json.end_object();
-}
-
-Registry& global_registry() {
-  static Registry* registry = new Registry;
-  return *registry;
-}
-
-#endif  // POIPRIVACY_NO_METRICS
 
 }  // namespace poiprivacy::obs

@@ -29,11 +29,6 @@
 // eval pipelines at --threads 1/2/8 with mid-run scrapes and asserting
 // bit-identical results.
 //
-// Compiling with -DPOIPRIVACY_NO_METRICS (CMake option of the same name)
-// replaces every type below with an empty-body stub, so all
-// instrumentation — including Span's clock reads — is removed at compile
-// time.
-//
 // Layering: this library sits *below* poi_common so that common/parallel
 // can be instrumented; it links only poi_json (eval/json.h, which has no
 // further dependencies).
@@ -56,12 +51,6 @@ class JsonWriter;
 
 namespace poiprivacy::obs {
 
-#ifndef POIPRIVACY_NO_METRICS
-inline constexpr bool kMetricsEnabled = true;
-#else
-inline constexpr bool kMetricsEnabled = false;
-#endif
-
 /// One histogram's scraped state. All fields are zero (never NaN) for a
 /// histogram that recorded nothing.
 struct HistogramSnapshot {
@@ -82,8 +71,6 @@ struct HistogramSnapshot {
     return count ? sum / static_cast<double>(count) : 0.0;
   }
 };
-
-#ifndef POIPRIVACY_NO_METRICS
 
 class Registry;
 
@@ -230,56 +217,5 @@ Registry& global_registry();
 /// JSON — to stderr when `path` is empty, else to the file at `path`.
 /// Subsequent calls just update the path.
 void dump_on_exit(const std::string& path);
-
-#else  // POIPRIVACY_NO_METRICS — same API, empty bodies, zero overhead.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-};
-
-class Histogram {
- public:
-  void record(double) noexcept {}
-  HistogramSnapshot snapshot() { return {}; }
-  std::uint64_t count() const noexcept { return 0; }
-};
-
-class Span {
- public:
-  explicit Span(Histogram&) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void stop() noexcept {}
-};
-
-class Registry {
- public:
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&) { return histogram_; }
-  std::size_t size() const { return 0; }
-  std::string table() { return "(metrics compiled out)\n"; }
-  void render_json(eval::JsonWriter& json);
-  std::string json() { return "{}"; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-Registry& global_registry();
-inline void dump_on_exit(const std::string&) {}
-
-#endif  // POIPRIVACY_NO_METRICS
 
 }  // namespace poiprivacy::obs

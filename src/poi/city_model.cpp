@@ -2,8 +2,6 @@
 
 #include "poi/categories.h"
 
-#include "poi/categories.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -63,15 +61,6 @@ std::vector<double> zipf_profile(std::size_t num_types, std::size_t total,
   const double scale = static_cast<double>(total) / norm;
   for (double& v : raw) v *= scale;
   return raw;
-}
-
-std::size_t rare_count(const std::vector<double>& profile,
-                       std::int32_t cutoff) {
-  std::size_t n = 0;
-  for (const double v : profile) {
-    if (std::llround(v) <= cutoff) ++n;
-  }
-  return n;
 }
 
 }  // namespace

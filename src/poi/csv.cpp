@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -11,7 +12,8 @@
 namespace poiprivacy::poi {
 
 void save_csv(const PoiDatabase& db, std::ostream& out) {
-  out << std::setprecision(12);
+  // Enough digits that load_csv reads back the very same doubles.
+  out << std::setprecision(std::numeric_limits<double>::max_digits10);
   const geo::BBox& b = db.bounds();
   out << "# city=" << db.city_name() << " min_x=" << b.min_x
       << " min_y=" << b.min_y << " max_x=" << b.max_x << " max_y=" << b.max_y

@@ -48,8 +48,7 @@ ReleaseCache::ReleaseCache(ReleaseCacheConfig config) : config_(config) {
   shard_capacity_ = (config_.capacity + n - 1) / n;
   shards_ = std::vector<Shard>(n);
   // Per-shard registry counters; shardNN names are shared across cache
-  // instances (and with POIPRIVACY_NO_METRICS all handles are the same
-  // no-op stub).
+  // instances.
   obs::Registry& registry = obs::global_registry();
   shard_metrics_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {

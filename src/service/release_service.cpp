@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "common/stopwatch.h"
 #include "dp/mechanisms.h"
 #include "obs/metrics.h"
 
@@ -44,8 +43,7 @@ struct KeyHash {
 /// Registry mirrors of the deterministic ServiceStats counters plus the
 /// per-phase wall-clock of the 6-phase batch pipeline. Observation only:
 /// nothing here feeds back into admission, caching, or released vectors
-/// (tests/obs_determinism_test.cpp), and POIPRIVACY_NO_METRICS compiles
-/// every call into an empty stub.
+/// (tests/obs_determinism_test.cpp).
 struct ServiceMetrics {
   obs::Counter& requests;
   obs::Counter& granted;
@@ -247,7 +245,6 @@ struct ReleaseService::Admitted {
 void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
                                  std::vector<ReleaseResult>& results) {
   ServiceMetrics& metrics = ServiceMetrics::get();
-  const common::Stopwatch timer;
   const obs::Span batch_span(metrics.batch_seconds);
   const std::size_t base = results.size();
   results.resize(base + requests.size());
@@ -371,8 +368,6 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
   noise_span.stop();
 
   bump(stats_.batches, metrics.batches);
-  batch_sizes_.push_back(requests.size());
-  batch_seconds_.push_back(timer.seconds());
 }
 
 void ReleaseService::drain_queue() {

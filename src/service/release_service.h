@@ -269,14 +269,6 @@ class ReleaseService {
   /// stats' hits/misses are the effective per-request ones.
   ReleaseCacheStats cache_stats() const { return cache_.stats(); }
   SessionTableStats session_stats() const { return sessions_.stats(); }
-  /// Wall-clock seconds spent draining each batch, in drain order (for
-  /// latency reporting; not part of the determinism contract).
-  const std::vector<double>& batch_seconds() const noexcept {
-    return batch_seconds_;
-  }
-  const std::vector<std::size_t>& batch_sizes() const noexcept {
-    return batch_sizes_;
-  }
 
   /// Budget state of one user; zero-spend if the user was never admitted
   /// (or the session TTL-expired — budget renewal).
@@ -319,8 +311,6 @@ class ReleaseService {
   std::vector<ReleaseResult> collected_;
   ServiceStats stats_;
   ConcurrentCounters concurrent_;
-  std::vector<double> batch_seconds_;
-  std::vector<std::size_t> batch_sizes_;
   std::atomic<std::uint64_t> next_request_index_{0};  ///< noise substreams
   common::Rng noise_base_;
   common::Rng aggregate_base_;

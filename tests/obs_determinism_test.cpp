@@ -6,8 +6,7 @@
 // scenario runs under ThreadSanitizer (concurrent record() vs scrape).
 //
 // The counter-mirror checks additionally pin the obs counters to the
-// deterministic ServiceStats they shadow; they are gated on
-// obs::kMetricsEnabled so a -DPOIPRIVACY_NO_METRICS tree still passes.
+// deterministic ServiceStats they shadow.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -175,7 +174,6 @@ TEST(ObsDeterminism, EvalResultsIdenticalWithMidRunScrapes) {
 }
 
 TEST(ObsDeterminism, ServiceCounterMirrorsTrackServiceStats) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   // Process-wide counters only accumulate, so compare deltas across one
   // pass against the pass's own deterministic ServiceStats.
   const std::uint64_t requests_before = counter_value("service.requests");
@@ -200,7 +198,6 @@ TEST(ObsDeterminism, ServiceCounterMirrorsTrackServiceStats) {
 }
 
 TEST(ObsDeterminism, AnchorCacheMirrorsTrackDatabaseStats) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const std::uint64_t hits_before = counter_value("poi.anchor_cache.hits");
   const std::uint64_t misses_before =
       counter_value("poi.anchor_cache.misses");

@@ -2,9 +2,6 @@
 // histograms survive the empty/single/all-equal edge cases without NaN,
 // exact percentiles agree with common::percentiles, and the registry
 // hands out stable handles and renders in registration order.
-//
-// Behavioural assertions are gated on obs::kMetricsEnabled so this suite
-// still compiles (and trivially passes) in a -DPOIPRIVACY_NO_METRICS tree.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,7 +19,6 @@ namespace poiprivacy {
 namespace {
 
 TEST(Counter, SumsAcrossThreads) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Counter& counter = registry.counter("c");
   constexpr std::size_t kThreads = 8;
@@ -40,7 +36,6 @@ TEST(Counter, SumsAcrossThreads) {
 }
 
 TEST(Gauge, SetAddValue) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Gauge& gauge = registry.gauge("g");
   EXPECT_EQ(gauge.value(), 0);
@@ -68,7 +63,6 @@ TEST(Histogram, EmptySnapshotIsAllZeroNoNaN) {
 }
 
 TEST(Histogram, SingleValue) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(2.5);
@@ -84,7 +78,6 @@ TEST(Histogram, SingleValue) {
 }
 
 TEST(Histogram, AllEqualValues) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   for (int i = 0; i < 100; ++i) hist.record(3.0);
@@ -102,7 +95,6 @@ TEST(Histogram, AllEqualValues) {
 }
 
 TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(0.0);
@@ -117,7 +109,6 @@ TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
 }
 
 TEST(Histogram, ExactPercentilesMatchCommonPercentiles) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   common::Rng rng(2024);
@@ -136,7 +127,6 @@ TEST(Histogram, ExactPercentilesMatchCommonPercentiles) {
 }
 
 TEST(Histogram, SnapshotIsCumulativeAcrossScrapes) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(1.0);
@@ -148,7 +138,6 @@ TEST(Histogram, SnapshotIsCumulativeAcrossScrapes) {
 }
 
 TEST(Histogram, SamplesBeyondCapAreDroppedButStillBucketed) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   constexpr std::uint64_t kTotal = 70000;  // cap is 65536
@@ -163,7 +152,6 @@ TEST(Histogram, SamplesBeyondCapAreDroppedButStillBucketed) {
 }
 
 TEST(Span, RecordsElapsedSeconds) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   {
@@ -176,7 +164,6 @@ TEST(Span, RecordsElapsedSeconds) {
 }
 
 TEST(Span, StopIsIdempotent) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   {
@@ -188,7 +175,6 @@ TEST(Span, StopIsIdempotent) {
 }
 
 TEST(Registry, FindOrCreateReturnsStableHandles) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Counter& a = registry.counter("x");
   obs::Counter& b = registry.counter("x");
@@ -200,7 +186,6 @@ TEST(Registry, FindOrCreateReturnsStableHandles) {
 }
 
 TEST(Registry, KindMismatchThrows) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), std::logic_error);
@@ -210,7 +195,6 @@ TEST(Registry, KindMismatchThrows) {
 }
 
 TEST(Registry, JsonRendersInRegistrationOrder) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("zz.second").add(2);
   registry.counter("aa.first").add(1);
@@ -229,7 +213,6 @@ TEST(Registry, JsonRendersInRegistrationOrder) {
 }
 
 TEST(Registry, TableListsEveryMetric) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("requests").add(3);
   registry.gauge("depth").set(4);
@@ -242,18 +225,14 @@ TEST(Registry, TableListsEveryMetric) {
 
 TEST(Registry, RenderJsonComposesIntoEnclosingDocument) {
   obs::Registry registry;
-  if (obs::kMetricsEnabled) registry.counter("c").add(1);
+  registry.counter("c").add(1);
   eval::JsonWriter json;
   json.begin_object();
   json.key("metrics");
   registry.render_json(json);
   json.field("after", std::int64_t{7});
   json.end_object();
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(json.str(), "{\"metrics\":{\"c\":1},\"after\":7}");
-  } else {
-    EXPECT_EQ(json.str(), "{\"metrics\":{},\"after\":7}");
-  }
+  EXPECT_EQ(json.str(), "{\"metrics\":{\"c\":1},\"after\":7}");
 }
 
 TEST(GlobalRegistry, IsASingleton) {

@@ -92,7 +92,9 @@ TEST(Database, InfrequencyRankIsPermutationConsistentWithCounts) {
   }
   for (TypeId a = 0; a < cf.size(); ++a) {
     for (TypeId b = 0; b < cf.size(); ++b) {
-      if (cf[a] < cf[b]) EXPECT_LT(rank[a], rank[b]);
+      if (cf[a] < cf[b]) {
+        EXPECT_LT(rank[a], rank[b]);
+      }
     }
   }
 }
@@ -239,7 +241,9 @@ TEST(Database, TypesWithCityFreqAtMostThreshold) {
   // Complement check.
   std::set<TypeId> rare_set(rare.begin(), rare.end());
   for (TypeId t = 0; t < city.db.num_types(); ++t) {
-    if (!rare_set.count(t)) EXPECT_GT(city.db.city_freq()[t], 10);
+    if (!rare_set.count(t)) {
+      EXPECT_GT(city.db.city_freq()[t], 10);
+    }
   }
 }
 
@@ -334,13 +338,18 @@ TEST(Csv, RoundTripsDatabase) {
   save_csv(city.db, buffer);
   const PoiDatabase loaded = load_csv(buffer);
   EXPECT_EQ(loaded.city_name(), city.db.city_name());
+  EXPECT_EQ(loaded.bounds().min_x, city.db.bounds().min_x);
+  EXPECT_EQ(loaded.bounds().min_y, city.db.bounds().min_y);
+  EXPECT_EQ(loaded.bounds().max_x, city.db.bounds().max_x);
+  EXPECT_EQ(loaded.bounds().max_y, city.db.bounds().max_y);
   ASSERT_EQ(loaded.pois().size(), city.db.pois().size());
   EXPECT_EQ(loaded.num_types(), city.db.num_types());
+  // Positions round-trip exactly, not just to within a tolerance.
   for (std::size_t i = 0; i < loaded.pois().size(); ++i) {
     EXPECT_EQ(loaded.types().name(loaded.pois()[i].type),
               city.db.types().name(city.db.pois()[i].type));
-    EXPECT_NEAR(loaded.pois()[i].pos.x, city.db.pois()[i].pos.x, 1e-6);
-    EXPECT_NEAR(loaded.pois()[i].pos.y, city.db.pois()[i].pos.y, 1e-6);
+    EXPECT_EQ(loaded.pois()[i].pos.x, city.db.pois()[i].pos.x) << i;
+    EXPECT_EQ(loaded.pois()[i].pos.y, city.db.pois()[i].pos.y) << i;
   }
   EXPECT_EQ(loaded.city_freq(), city.db.city_freq());
 }

@@ -44,7 +44,6 @@ TEST(ScenarioRegistry, RegistrationIsCompleteAndIdempotent) {
       "ablation_recovery_models", "ablation_regressors",
       "ablation_robust_attack",  "ext_category_defense",
       "ext_chain_attack",        "uniqueness_analysis",
-      "micro_core",              "service_throughput",
       "mia_raw",                 "mia_dp_sweep",
       "mia_priors",              "linkage_100k",
       "stream_utility"};

@@ -468,6 +468,49 @@ TEST(ReleaseService, RenewWindowRestoresBudgetWithoutEviction) {
   EXPECT_EQ(gsp.num_users(), 1u);
 }
 
+TEST(ReleaseService, RenewalTurnsExhaustedIntoGrantsAcrossWaves) {
+  // The batch serve() path under w-event renewal: the same seeded trace
+  // replayed in two waves, one epoch apart. Wave 0 runs users into the
+  // low ceiling; the epoch boundary renews every resident budget in
+  // place, so wave 1 is granted at least as often as wave 0.
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  service::ServiceConfig config = two_policy_config();
+  config.epsilon_ceiling = 2.0;
+  config.session_renew_epochs = 1;
+  service::ReleaseService gsp(city.db, cloaker, config);
+  service::WorkloadConfig workload = small_workload();
+  workload.requests_per_user = 8;
+  const auto trace =
+      service::requests_of(service::generate_workload(city, workload));
+
+  struct Wave {
+    std::uint64_t granted = 0;
+    std::uint64_t budget_exhausted = 0;
+    std::uint64_t renewals = 0;
+  };
+  std::vector<Wave> waves;
+  service::ServiceStats before = gsp.stats();
+  std::uint64_t renewals_before = 0;
+  for (std::size_t wave = 0; wave < 2; ++wave) {
+    if (wave > 0) gsp.advance_epoch();
+    ASSERT_EQ(gsp.serve(trace).size(), trace.size());
+    const service::ServiceStats after = gsp.stats();
+    const std::uint64_t renewals_after = gsp.session_stats().renewals;
+    waves.push_back({after.granted - before.granted,
+                     after.budget_exhausted - before.budget_exhausted,
+                     renewals_after - renewals_before});
+    before = after;
+    renewals_before = renewals_after;
+  }
+
+  EXPECT_GT(waves[0].budget_exhausted, 0u);
+  EXPECT_GT(waves[1].renewals, 0u);
+  EXPECT_GE(waves[1].granted, waves[0].granted);
+  EXPECT_EQ(gsp.session_stats().renewals,
+            waves[0].renewals + waves[1].renewals);
+}
+
 TEST(ReleaseService, BatchSizeNeverChangesReleases) {
   const poi::City city = make_city();
   const auto cloaker = make_cloaker(city.db);
