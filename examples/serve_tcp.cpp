@@ -27,7 +27,9 @@
 // block charged to the user's session budget.
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "attack/attack_context.h"
@@ -46,24 +48,69 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
 
+constexpr std::size_t kStreamEpochs = 16;
+
+/// The daemon's flag values, each range-checked while parsing, so a bad
+/// value exits 2 before any socket or thread exists.
+struct Options {
+  std::uint64_t seed = 42;
+  std::uint64_t max_frames = 0;
+  double ceiling = 6.0;
+  std::uint64_t session_ttl = 0;
+  std::uint64_t cache_ttl = 0;
+  std::uint64_t renew_window = 0;
+  std::size_t stream_users = 64;
+  std::size_t stream_window = 2;
+  std::uint16_t port = 0;
+  std::size_t workers = 4;
+};
+
+Options parse_options(const common::Flags& flags) {
+  constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+  Options o;
+  o.seed = static_cast<std::uint64_t>(flags.get("seed", std::int64_t{42}));
+  o.max_frames = static_cast<std::uint64_t>(
+      flags.get_in_range("max-frames", 0, 0, kNoMax));
+  o.ceiling = flags.get("ceiling", o.ceiling);
+  o.session_ttl = static_cast<std::uint64_t>(
+      flags.get_in_range("session-ttl", 0, 0, kNoMax));
+  o.cache_ttl = static_cast<std::uint64_t>(
+      flags.get_in_range("cache-ttl", 0, 0, kNoMax));
+  o.renew_window = static_cast<std::uint64_t>(
+      flags.get_in_range("renew-window", 0, 0, kNoMax));
+  o.stream_users = static_cast<std::size_t>(
+      flags.get_in_range("stream-users", 64, 1, 1 << 16));
+  o.stream_window = static_cast<std::size_t>(flags.get_in_range(
+      "stream-window", 2, 1, static_cast<std::int64_t>(kStreamEpochs)));
+  o.port =
+      static_cast<std::uint16_t>(flags.get_in_range("port", 0, 0, 65535));
+  o.workers =
+      static_cast<std::size_t>(flags.get_in_range("workers", 4, 1, 256));
+  flags.apply_threads_flag();
+  flags.apply_metrics_flag();
+  return o;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const common::Flags flags(
-      argc, argv,
-      {"port", "workers", "users", "ceiling", "session-ttl", "cache-ttl",
-       "renew-window", "stream-users", "stream-window", "max-frames", "seed",
-       common::Flags::kThreadsFlag, common::Flags::kMetricsFlag});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
+  Options options;
+  try {
+    const common::Flags flags(
+        argc, argv,
+        {"port", "workers", "users", "ceiling", "session-ttl", "cache-ttl",
+         "renew-window", "stream-users", "stream-window", "max-frames", "seed",
+         common::Flags::kThreadsFlag, common::Flags::kMetricsFlag});
+    if (flags.help_requested()) {
+      std::cout << flags.usage(argv[0]);
+      return 0;
+    }
+    options = parse_options(flags);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(
-      flags.get("seed", static_cast<std::int64_t>(42)));
-  const auto max_frames =
-      static_cast<std::uint64_t>(flags.get("max-frames", std::int64_t{0}));
-  flags.apply_threads_flag();
-  flags.apply_metrics_flag();
+  const std::uint64_t seed = options.seed;
 
   const poi::City city = poi::generate_city(poi::beijing_preset(), seed);
   common::Rng pop_rng(seed + 1);
@@ -77,13 +124,10 @@ int main(int argc, char** argv) {
   config.policies.push_back(
       {"coarse", {.k = 32, .epsilon = 0.1, .delta = 0.001}});
   config.degrade_policy = 1;
-  config.epsilon_ceiling = flags.get("ceiling", 6.0);
-  config.session_ttl_epochs =
-      static_cast<std::uint64_t>(flags.get("session-ttl", std::int64_t{0}));
-  config.cache_ttl_epochs =
-      static_cast<std::uint64_t>(flags.get("cache-ttl", std::int64_t{0}));
-  config.session_renew_epochs =
-      static_cast<std::uint64_t>(flags.get("renew-window", std::int64_t{0}));
+  config.epsilon_ceiling = options.ceiling;
+  config.session_ttl_epochs = options.session_ttl;
+  config.cache_ttl_epochs = options.cache_ttl;
+  config.session_renew_epochs = options.renew_window;
   config.seed = seed;
   service::ReleaseService gsp(city.db, cloaker, config);
 
@@ -91,16 +135,14 @@ int main(int argc, char** argv) {
   // streams the mia suite attacks, released raw — the serving layer
   // draws the per-request noise and meters the session budget.
   mia::MobilityConfig mobility;
-  mobility.num_users = static_cast<std::size_t>(
-      flags.get("stream-users", std::int64_t{64}));
-  mobility.epochs = 16;
+  mobility.num_users = options.stream_users;
+  mobility.epochs = kStreamEpochs;
   mobility.visits_per_epoch = 3;
   mobility.profile_tiles = 3;
   const attack::AttackContext ctx(city.db);
   const mia::UserTraces traces = mia::generate_traces(ctx, mobility, seed + 2);
   mia::StreamConfig stream_config;
-  stream_config.window_epochs = static_cast<std::size_t>(
-      flags.get("stream-window", std::int64_t{2}));
+  stream_config.window_epochs = options.stream_window;
   stream_config.stride = 1;
   stream_config.epsilon = 0.0;  // raw: noise belongs to the serving layer
   const mia::AggregateStreamReleaser releaser(traces, stream_config,
@@ -112,10 +154,8 @@ int main(int argc, char** argv) {
   gsp.attach_stream_source(&stream_source);
 
   net::ServerConfig server_config;
-  server_config.port =
-      static_cast<std::uint16_t>(flags.get("port", std::int64_t{0}));
-  server_config.workers =
-      static_cast<std::size_t>(flags.get("workers", std::int64_t{4}));
+  server_config.port = options.port;
+  server_config.workers = options.workers;
   net::ReleaseServer server(gsp, server_config);
   server.start();
 
@@ -135,7 +175,10 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     static int ticks = 0;
     if (ticking && ++ticks % 5 == 0) gsp.advance_epoch();
-    if (max_frames > 0 && server.stats().frames_served >= max_frames) break;
+    if (options.max_frames > 0 &&
+        server.stats().frames_served >= options.max_frames) {
+      break;
+    }
   }
   server.stop();
 

@@ -1,48 +1,42 @@
 #!/usr/bin/env bash
 # One-stop pre-merge gate:
 #   1. plain build + the tier-1 test suite,
-#   2. ThreadSanitizer build + the concurrency suites (`-L tsan`),
-#   3. the metrics-determinism binary, which internally re-runs the
-#      service and eval pipelines at --threads 1/2/8 with mid-run
-#      registry scrapes and asserts bit-identical results,
-#   4. the scenario-catalog golden gate: poibench --all --smoke at
+#   2. ThreadSanitizer build + the concurrency suites (`-L tsan`): every
+#      suite labelled `tsan` in tests/CMakeLists.txt (the thread pool, the
+#      service and its stress/shard/framing suites, the metrics-determinism
+#      binary that re-runs the service and eval pipelines at --threads
+#      1/2/8 with mid-run registry scrapes, the linkage and privacy-ledger
+#      property suites, mia) runs whole under TSan here and nowhere else,
+#   3. the scenario-catalog golden gate: poibench --all --smoke at
 #      --threads 1 and --threads 8 must print exactly the stdout committed
 #      as tests/golden/all.smoke.txt (only the printed thread count is
 #      normalized away). The golden holds every deterministic scenario's
 #      smoke table, the fig02/fig03 recovery-model sections included, so
 #      any drift in a figure's numbers or in the thread-count invariance
 #      fails here,
-#   5. a warning-clean Release build (-Werror, every target) plus the
+#   4. a warning-clean Release build (-Werror, every target) plus the
 #      perfbench gate: the repository benchmark (perfbench/) builds in
 #      Release, its own perfbench_test passes, and a 2-second serve_hot
 #      run (open-loop TCP against a loopback server, every reply checked
 #      against the batch oracle) reports correct with no failed requests,
-#   6. the kernel-dispatch gate: the tier-1 suite re-runs with
+#   5. the kernel-dispatch gate: the tier-1 suite re-runs with
 #      POIPRIVACY_KERNEL=scalar (the portable tier must carry the whole
 #      suite, not just the property tests), and poibench --all --smoke
 #      must emit byte-identical output under the scalar and the native
 #      tier at --threads 1/2/8 — SIMD is an implementation detail,
 #      never an observable one,
-#   7. an Address+UB-Sanitizer build running the kernel, fingerprint and
+#   6. an Address+UB-Sanitizer build running the kernel, fingerprint and
 #      tile-window property suites under both the native and the scalar
 #      tier (the explicit SIMD kernels read memory in 32-byte gulps;
 #      ASan/UBSan prove the tails stay in bounds),
-#   8. the serving-layer concurrency gate: the session-shard stress,
-#      property and net-framing suites re-run under the ThreadSanitizer
-#      build (gate 5's serve_hot run covers the loopback TCP path),
-#   9. the linkage-engine gate: the linkage_100k smoke must be
+#   7. the linkage-engine gate: the linkage_100k smoke must be
 #      byte-identical at --threads 1/2/8 (the per-user streaming loop is
 #      an ordered reduction, so the thread count must never be
-#      observable), its zero-allocation store-fill check must hold, the
-#      Release --json smoke must emit a parseable sweep, and the linkage
-#      property suite re-runs under the ThreadSanitizer build,
-#  10. the ledger gate: the privacy-meter property suite (dp::Ledger
-#      legacy-oracle equivalence, the serving meter's tightness against
-#      the exact Ledger, and concurrent SessionTable charges conserving
-#      one user's budget) re-runs under the ThreadSanitizer build, and
-#      the stream_utility smoke must be byte-identical at --threads
-#      1/2/8 (the scenario itself fails when Top-K Jaccard is not
-#      monotone in epsilon; budget renewal across epochs is the
+#      observable), its zero-allocation store-fill check must hold, and
+#      the Release --json smoke must emit a parseable sweep,
+#   8. the stream_utility gate: its smoke must be byte-identical at
+#      --threads 1/2/8 (the scenario itself fails when Top-K Jaccard is
+#      not monotone in epsilon; budget renewal across epochs is the
 #      service_test ctest RenewalTurnsExhaustedIntoGrantsAcrossWaves).
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
@@ -51,20 +45,17 @@ cd "$(dirname "$0")/.."
 
 jobs="${1:-$(nproc)}"
 
-echo "== [1/10] plain build + tier-1 tests =="
+echo "== [1/8] plain build + tier-1 tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest -L tier1 --output-on-failure -j "$jobs")
 
-echo "== [2/10] ThreadSanitizer build + tsan-labelled tests =="
+echo "== [2/8] ThreadSanitizer build + tsan-labelled tests =="
 cmake -B build-tsan -S . -DPOIPRIVACY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && ctest -L tsan --output-on-failure -j "$jobs")
 
-echo "== [3/10] metrics determinism at --threads 1/2/8 =="
-./build/tests/obs_determinism_test
-
-echo "== [4/10] poibench --all --smoke == tests/golden/all.smoke.txt at --threads 1/8 =="
+echo "== [3/8] poibench --all --smoke == tests/golden/all.smoke.txt at --threads 1/8 =="
 cmake --build build -j "$jobs" --target poibench
 for threads in 1 8; do
   smoke_t="$(mktemp)"
@@ -75,7 +66,7 @@ for threads in 1 8; do
   echo "poibench smoke: $(grep -c '^==== ' tests/golden/all.smoke.txt) scenarios byte-identical to the golden at --threads $threads"
 done
 
-echo "== [5/10] warning-clean Release build + perfbench gate =="
+echo "== [4/8] warning-clean Release build + perfbench gate =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-release -j "$jobs"
@@ -99,7 +90,7 @@ print('perfbench serve_hot:', doc['attempted'], 'requests, all correct')
 "
 rm -f "$serve_hot_out"
 
-echo "== [6/10] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
+echo "== [5/8] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
 (cd build && POIPRIVACY_KERNEL=scalar ctest -L tier1 --output-on-failure -j "$jobs")
 for threads in 1 2 8; do
   smoke_scalar="$(mktemp)"
@@ -113,7 +104,7 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/10] ASan/UBSan build + kernel property suites per tier =="
+echo "== [6/8] ASan/UBSan build + kernel property suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   kernel_property_test fingerprint_property_test tile_window_property_test
@@ -128,14 +119,7 @@ for tier in native scalar; do
   done
 done
 
-echo "== [8/10] serving layer: stress/property/framing under TSan =="
-for suite in service_stress_test session_shard_property_test net_framing_test; do
-  cmake --build build-tsan -j "$jobs" --target "$suite" >/dev/null
-  "./build-tsan/tests/$suite" --gtest_brief=1 >/dev/null
-  echo "tsan: $suite clean"
-done
-
-echo "== [9/10] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
+echo "== [7/8] linkage engine: smoke identity at --threads 1/2/8 =="
 linkage_ref="$(mktemp)"
 ./build/bench/poibench --scenario linkage_100k --smoke --seed 4242 \
   --threads 1 2>/dev/null | sed 's/threads=[0-9]*/threads=N/' > "$linkage_ref"
@@ -167,14 +151,8 @@ print('linkage smoke:', len(doc['scales']), 'scale(s),',
       doc['scales'][-1]['unique_rate'])
 "
 rm -f "$linkage_json"
-cmake --build build-tsan -j "$jobs" --target linkage_property_test >/dev/null
-./build-tsan/tests/linkage_property_test --gtest_brief=1 >/dev/null
-echo "tsan: linkage_property_test clean"
 
-echo "== [10/10] ledger: property suite under TSan + stream_utility identity =="
-cmake --build build-tsan -j "$jobs" --target ledger_property_test >/dev/null
-./build-tsan/tests/ledger_property_test --gtest_brief=1 >/dev/null
-echo "tsan: ledger_property_test clean"
+echo "== [8/8] stream_utility: smoke identity at --threads 1/2/8 =="
 stream_ref="$(mktemp)"
 ./build/bench/poibench --scenario stream_utility --users 40 --epochs 16 \
   --roi 48 --seed 4242 --threads 1 2>/dev/null \

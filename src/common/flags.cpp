@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.h"
 #include "obs/metrics.h"
@@ -90,6 +91,19 @@ std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return parse_number<std::int64_t>(name, it->second);
+}
+
+std::int64_t Flags::get_in_range(const std::string& name,
+                                 std::int64_t fallback, std::int64_t lo,
+                                 std::int64_t hi) const {
+  const std::int64_t value = get(name, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("invalid value for --" + name + ": '" +
+                                std::to_string(value) + "' (expected " +
+                                std::to_string(lo) + ".." +
+                                std::to_string(hi) + ")");
+  }
+  return value;
 }
 
 double Flags::get(const std::string& name, double fallback) const {

@@ -29,6 +29,11 @@ class Flags {
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
   double get(const std::string& name, double fallback) const;
   bool get(const std::string& name, bool fallback) const;
+  /// The integer getter restricted to [lo, hi]: a value outside it throws
+  /// std::invalid_argument naming the flag, the value and the range, so a
+  /// port or a worker count can never wrap when it is narrowed.
+  std::int64_t get_in_range(const std::string& name, std::int64_t fallback,
+                            std::int64_t lo, std::int64_t hi) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -49,13 +49,22 @@ double Rng::uniform(double lo, double hi) noexcept {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo and lo + offset wrap instead of
+  // overflowing when the range spans more than half of int64.
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) return static_cast<std::int64_t>((*this)());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % range;
+  // Rejection sampling to avoid modulo bias: draws at or above
+  // limit = max() - max() % range are redrawn. As max() % range < range,
+  // every draw <= max() - range is below the limit, so the division that
+  // computes it is only paid for the rare draw above that.
   std::uint64_t draw = (*this)();
-  while (draw >= limit) draw = (*this)();
-  return lo + static_cast<std::int64_t>(draw % range);
+  if (draw > max() - range) {
+    const std::uint64_t limit = max() - max() % range;
+    while (draw >= limit) draw = (*this)();
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   draw % range);
 }
 
 double Rng::normal() noexcept {

@@ -11,31 +11,33 @@ namespace {
 
 /// Perturbation is restricted to the citywide-rare tail (count <= 10, the
 /// sanitization threshold): common types carry almost no objective weight
-/// and suppressing them would damage the Top-K utility.
+/// and suppressing them would damage the Top-K utility. The cap is the
+/// size of db.types_with_city_freq_at_most(10), counted in place because
+/// it runs once per served release.
 int rare_rank_cap(const poi::PoiDatabase& db) {
-  return static_cast<int>(db.types_with_city_freq_at_most(10).size());
+  const poi::FrequencyVector& city = db.city_freq();
+  return static_cast<int>(
+      std::count_if(city.begin(), city.end(),
+                    [](std::int32_t n) { return n > 0 && n <= 10; }));
 }
 
 }  // namespace
 
 poi::FrequencyVector postprocess_release(const poi::PoiDatabase& db,
-                                         std::vector<double> base,
+                                         std::span<const double> base,
                                          double beta,
                                          std::int32_t max_injection) {
-  opt::DistortionProblem problem;
-  problem.base = std::move(base);
-  problem.rank = db.infrequency_rank();
-  problem.beta = beta;
-  problem.max_injection = max_injection;
-  problem.max_rank = rare_rank_cap(db);
-  return opt::optimize_release(problem).release;
+  return opt::optimize_release({.base = base,
+                                .rank = db.infrequency_rank(),
+                                .beta = beta,
+                                .max_injection = max_injection,
+                                .max_rank = rare_rank_cap(db)});
 }
 
 poi::FrequencyVector OptimizationDefense::release(
     const poi::FrequencyVector& original) const {
-  return postprocess_release(
-      *db_, std::vector<double>(original.begin(), original.end()), beta_,
-      max_injection_);
+  const std::vector<double> base(original.begin(), original.end());
+  return postprocess_release(*db_, base, beta_, max_injection_);
 }
 
 CloakAggregate fold_dummies(const poi::PoiDatabase& db,

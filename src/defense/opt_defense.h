@@ -33,7 +33,7 @@ namespace poiprivacy::defense {
 /// only the citywide-rare tail (see DESIGN.md 4b.5). Post-processing, so
 /// it preserves whatever DP guarantee the base vector carries (Lemma 3).
 poi::FrequencyVector postprocess_release(const poi::PoiDatabase& db,
-                                         std::vector<double> base,
+                                         std::span<const double> base,
                                          double beta,
                                          std::int32_t max_injection);
 

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace poiprivacy::opt {
 
@@ -44,7 +45,7 @@ double mean_relative_distortion(std::span<const double> base,
   return acc / static_cast<double>(base.size());
 }
 
-DistortionSolution optimize_release(const DistortionProblem& problem) {
+poi::FrequencyVector optimize_release(const DistortionProblem& problem) {
   const std::size_t m = problem.base.size();
   if (problem.rank.size() != m) {
     throw std::invalid_argument("optimize_release: base/rank size mismatch");
@@ -53,56 +54,46 @@ DistortionSolution optimize_release(const DistortionProblem& problem) {
     throw std::invalid_argument("optimize_release: beta must be >= 0");
   }
 
-  DistortionSolution solution;
-  solution.release = rounded_base(problem.base);
-  if (m == 0) return solution;
+  poi::FrequencyVector release = rounded_base(problem.base);
+  double remaining = problem.beta * static_cast<double>(m);
+  if (remaining <= 0.0) return release;
 
   // Per-unit benefit 1/R(i); per-unit budget cost 1/(M (b_i + 1)).
-  // Greedy over descending benefit/cost = M (b_i + 1) / R(i).
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const auto ratio = [&problem, m](std::size_t i) {
-    const double b = std::max(0.0, problem.base[i]);
-    return static_cast<double>(m) * (b + 1.0) /
-           static_cast<double>(problem.rank[i]);
-  };
-  std::sort(order.begin(), order.end(), [&ratio](std::size_t a, std::size_t b) {
-    const double ra = ratio(a);
-    const double rb = ratio(b);
-    if (ra != rb) return ra > rb;
-    return a < b;  // deterministic tie-break
-  });
-
-  double remaining = problem.beta * static_cast<double>(m);
-  for (const std::size_t i : order) {
-    if (remaining <= 0.0) break;
+  // Greedy over descending benefit/cost = M (b_i + 1) / R(i), over the
+  // types it can move only (see the header for why the order is kept).
+  std::vector<std::pair<double, std::size_t>> candidates;
+  for (std::size_t i = 0; i < m; ++i) {
     if (problem.max_rank > 0 && problem.rank[i] > problem.max_rank) continue;
+    if (release[i] <= 0 && problem.max_injection <= 0) continue;
+    const double b = std::max(0.0, problem.base[i]);
+    candidates.emplace_back(static_cast<double>(m) * (b + 1.0) /
+                                static_cast<double>(problem.rank[i]),
+                            i);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;  // deterministic tie-break
+            });
+
+  for (const auto& [ratio, i] : candidates) {
+    if (remaining <= 0.0) break;
     const double b = std::max(0.0, problem.base[i]);
     const double unit_cost = 1.0 / (b + 1.0);
     // Suppress positive entries down to 0; inject into zero entries.
-    const std::int32_t cap = solution.release[i] > 0
-                                 ? solution.release[i]
-                                 : problem.max_injection;
-    if (cap <= 0) continue;
+    const std::int32_t cap =
+        release[i] > 0 ? release[i] : problem.max_injection;
     const auto affordable = static_cast<std::int32_t>(remaining / unit_cost);
     const std::int32_t delta = std::min(cap, affordable);
     if (delta <= 0) continue;
-    if (solution.release[i] > 0) {
-      solution.release[i] -= delta;
+    if (release[i] > 0) {
+      release[i] -= delta;
     } else {
-      solution.release[i] += delta;
+      release[i] += delta;
     }
     remaining -= static_cast<double>(delta) * unit_cost;
   }
-
-  solution.objective = weighted_objective(problem.base, problem.rank,
-                                          solution.release);
-  const double base_distortion =
-      mean_relative_distortion(problem.base, rounded_base(problem.base));
-  solution.spent_budget =
-      mean_relative_distortion(problem.base, solution.release) -
-      base_distortion;
-  return solution;
+  return release;
 }
 
 }  // namespace poiprivacy::opt

@@ -19,21 +19,30 @@
 //     may be inflated by at most `max_injection`. Types are processed in
 //     descending benefit/cost order, which is exactly the greedy optimum
 //     of the capped problem.
+//   * The greedy only ever visits the types it can move: those within
+//     `max_rank` and with a positive rounded entry (or any type when
+//     injection is on). On a served DP release that is a handful of the
+//     rare tail, so the sort runs over those candidates alone. Their
+//     relative order is the same as in a sort of all M types, because the
+//     ratio comparator with its index tie-break is a strict total order,
+//     and a skipped type never touches the remaining budget.
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "poi/frequency.h"
 
 namespace poiprivacy::opt {
 
+/// A view of one instance: `base` and `rank` are borrowed, not copied, so
+/// the caller's vectors must outlive the optimize_release call.
 struct DistortionProblem {
   /// Base vector (F in Eq. 7, the noised mean F*_D in Eq. 9). Entries may
   /// be real-valued and are clamped at 0.
-  std::vector<double> base;
+  std::span<const double> base;
   /// Citywide infrequency rank per type (1 = rarest). Same length as base.
-  std::vector<int> rank;
+  std::span<const int> rank;
   /// Average relative-distortion budget (the paper sweeps 0.01..0.05).
   double beta = 0.02;
   /// Cap on fake counts injected into a type whose base entry is 0.
@@ -47,16 +56,10 @@ struct DistortionProblem {
   int max_rank = 0;
 };
 
-struct DistortionSolution {
-  poi::FrequencyVector release;
-  /// Objective value sum_i |release_i - base_i| / R(i).
-  double objective = 0.0;
-  /// Mean relative distortion beyond the rounded base (what beta bounds).
-  double spent_budget = 0.0;
-};
-
-/// Greedy solve of the capped problem; deterministic.
-DistortionSolution optimize_release(const DistortionProblem& problem);
+/// Greedy solve of the capped problem; deterministic. Returns the
+/// release; weighted_objective and mean_relative_distortion score it.
+/// Throws std::invalid_argument on a base/rank size mismatch or beta < 0.
+poi::FrequencyVector optimize_release(const DistortionProblem& problem);
 
 /// Objective of Eq. (7) for an arbitrary release.
 double weighted_objective(std::span<const double> base,

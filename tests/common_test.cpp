@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +59,48 @@ TEST(Rng, UniformIntCoversRangeInclusively) {
 TEST(Rng, UniformIntSingleton) {
   Rng rng(13);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.uniform_int(5, 5), 5);
+}
+
+/// uniform_int's original rejection rule (in unsigned arithmetic): the
+/// limit is computed on every call. The library skips that division when
+/// the draw is already below it, which must never change a returned value
+/// or the number of draws consumed.
+std::int64_t reference_uniform_int(Rng& rng, std::int64_t lo,
+                                   std::int64_t hi) {
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (range == 0) return static_cast<std::int64_t>(rng());
+  const std::uint64_t limit = Rng::max() - Rng::max() % range;
+  std::uint64_t draw = rng();
+  while (draw >= limit) draw = rng();
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   draw % range);
+}
+
+TEST(Rng, UniformIntMatchesRejectionReference) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {5, 5},                               // range 1
+      {0, 1},                               // range 2
+      {0, 550},                             // range 551 (the SVM shuffle)
+      {-7, (std::int64_t{1} << 32) - 7},    // range 2^32 + 1
+      {kMin, 0},                            // 2^63 + 1: ~50% rejected
+      {kMin, (std::int64_t{1} << 62) - 1},  // 3 * 2^62: ~25% rejected
+      {kMin, kMax},                         // the full range
+  };
+  for (const auto& [lo, hi] : ranges) {
+    Rng rng(29);
+    Rng reference(29);
+    int mismatches = 0;
+    for (int i = 0; i < 100000; ++i) {
+      const std::int64_t expected = reference_uniform_int(reference, lo, hi);
+      if (rng.uniform_int(lo, hi) != expected) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << "[" << lo << ", " << hi << "]";
+    EXPECT_EQ(rng(), reference()) << "draws consumed differ for [" << lo
+                                  << ", " << hi << "]";
+  }
 }
 
 TEST(Rng, NormalMomentsApproximatelyStandard) {

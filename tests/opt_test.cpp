@@ -1,21 +1,62 @@
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cloak/kcloak.h"
 #include "common/rng.h"
+#include "defense/opt_defense.h"
 #include "opt/distortion.h"
+#include "poi/city_model.h"
 
 namespace poiprivacy::opt {
 namespace {
 
-DistortionProblem small_problem() {
-  DistortionProblem p;
+/// Owns the vectors a DistortionProblem views, so tests can build and
+/// mutate instances in place.
+struct Instance {
+  std::vector<double> base;
+  std::vector<int> rank;
+  double beta = 0.02;
+  std::int32_t max_injection = 2;
+  int max_rank = 0;
+
+  DistortionProblem problem() const {
+    return {.base = base,
+            .rank = rank,
+            .beta = beta,
+            .max_injection = max_injection,
+            .max_rank = max_rank};
+  }
+  poi::FrequencyVector solve() const { return optimize_release(problem()); }
+};
+
+Instance small_problem() {
+  Instance p;
   p.base = {0.0, 1.0, 3.0, 12.0, 40.0};
   p.rank = {1, 2, 3, 4, 5};  // index 0 is the rarest type
   p.beta = 0.05;
   p.max_injection = 2;
   return p;
+}
+
+poi::FrequencyVector rounded(std::span<const double> base) {
+  poi::FrequencyVector out(base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    out[i] = static_cast<std::int32_t>(std::llround(std::max(0.0, base[i])));
+  }
+  return out;
+}
+
+/// Mean relative distortion beyond the rounded base (what beta bounds).
+double spent_budget(std::span<const double> base,
+                    const poi::FrequencyVector& release) {
+  return mean_relative_distortion(base, release) -
+         mean_relative_distortion(base, rounded(base));
 }
 
 TEST(Helpers, WeightedObjective) {
@@ -34,112 +75,110 @@ TEST(Helpers, MeanRelativeDistortion) {
 }
 
 TEST(Optimize, RejectsBadInputs) {
-  DistortionProblem p = small_problem();
+  Instance p = small_problem();
   p.rank.pop_back();
-  EXPECT_THROW(optimize_release(p), std::invalid_argument);
-  DistortionProblem q = small_problem();
+  EXPECT_THROW(p.solve(), std::invalid_argument);
+  Instance q = small_problem();
   q.beta = -0.1;
-  EXPECT_THROW(optimize_release(q), std::invalid_argument);
+  EXPECT_THROW(q.solve(), std::invalid_argument);
 }
 
 TEST(Optimize, ZeroBudgetReturnsRoundedBase) {
-  DistortionProblem p = small_problem();
+  Instance p = small_problem();
   p.beta = 0.0;
-  const DistortionSolution s = optimize_release(p);
-  EXPECT_EQ(s.release, (poi::FrequencyVector{0, 1, 3, 12, 40}));
-  EXPECT_DOUBLE_EQ(s.objective, 0.0);
-  EXPECT_DOUBLE_EQ(s.spent_budget, 0.0);
+  const poi::FrequencyVector release = p.solve();
+  EXPECT_EQ(release, (poi::FrequencyVector{0, 1, 3, 12, 40}));
+  EXPECT_DOUBLE_EQ(weighted_objective(p.base, p.rank, release), 0.0);
+  EXPECT_DOUBLE_EQ(spent_budget(p.base, release), 0.0);
 }
 
 TEST(Optimize, OutputIsNonNegativeInteger) {
   common::Rng rng(7);
   for (int trial = 0; trial < 30; ++trial) {
-    DistortionProblem p;
+    Instance p;
     const std::size_t m = 20;
     for (std::size_t i = 0; i < m; ++i) {
       p.base.push_back(rng.uniform(0.0, 15.0));
       p.rank.push_back(static_cast<int>(i) + 1);
     }
     p.beta = rng.uniform(0.0, 0.1);
-    const DistortionSolution s = optimize_release(p);
-    for (const auto v : s.release) EXPECT_GE(v, 0);
+    for (const auto v : p.solve()) EXPECT_GE(v, 0);
   }
 }
 
 TEST(Optimize, RespectsBudgetBeyondRounding) {
   common::Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
-    DistortionProblem p;
+    Instance p;
     const std::size_t m = 40;
     for (std::size_t i = 0; i < m; ++i) {
       p.base.push_back(rng.bernoulli(0.5) ? rng.uniform(0.0, 20.0) : 0.0);
       p.rank.push_back(static_cast<int>(i) + 1);
     }
     p.beta = 0.03;
-    const DistortionSolution s = optimize_release(p);
-    EXPECT_LE(s.spent_budget, p.beta + 1e-9) << "trial " << trial;
+    EXPECT_LE(spent_budget(p.base, p.solve()), p.beta + 1e-9)
+        << "trial " << trial;
   }
 }
 
 TEST(Optimize, NegativeBaseEntriesClampedToZero) {
-  DistortionProblem p;
+  Instance p;
   p.base = {-3.0, -0.4, 2.0};
   p.rank = {1, 2, 3};
   p.beta = 0.0;
-  const DistortionSolution s = optimize_release(p);
-  EXPECT_EQ(s.release, (poi::FrequencyVector{0, 0, 2}));
+  EXPECT_EQ(p.solve(), (poi::FrequencyVector{0, 0, 2}));
 }
 
 TEST(Optimize, ObjectiveMonotoneInBeta) {
-  DistortionProblem p = small_problem();
+  Instance p = small_problem();
   double prev = -1.0;
   for (const double beta : {0.0, 0.01, 0.02, 0.05, 0.1}) {
     p.beta = beta;
-    const DistortionSolution s = optimize_release(p);
-    EXPECT_GE(s.objective, prev);
-    prev = s.objective;
+    const double objective = weighted_objective(p.base, p.rank, p.solve());
+    EXPECT_GE(objective, prev);
+    prev = objective;
   }
 }
 
 TEST(Optimize, PrefersRareTypesFirst) {
   // Two positive entries with equal base but different rank: the rarer
   // one must be perturbed first under a tight budget.
-  DistortionProblem p;
+  Instance p;
   p.base = {2.0, 2.0};
   p.rank = {1, 2};
   p.max_injection = 0;
   p.beta = 0.34;  // budget 0.68 total: exactly enough to suppress one entry
-  const DistortionSolution s = optimize_release(p);
-  EXPECT_EQ(s.release[0], 0);
-  EXPECT_EQ(s.release[1], 2);
+  const poi::FrequencyVector release = p.solve();
+  EXPECT_EQ(release[0], 0);
+  EXPECT_EQ(release[1], 2);
 }
 
 TEST(Optimize, InjectionCapHonored) {
-  DistortionProblem p;
+  Instance p;
   p.base = {0.0, 0.0, 50.0};
   p.rank = {1, 2, 3};
   p.max_injection = 3;
   p.beta = 10.0;  // effectively unlimited budget
-  const DistortionSolution s = optimize_release(p);
-  EXPECT_LE(s.release[0], 3);
-  EXPECT_LE(s.release[1], 3);
+  const poi::FrequencyVector release = p.solve();
+  EXPECT_LE(release[0], 3);
+  EXPECT_LE(release[1], 3);
 }
 
 TEST(Optimize, InjectionDisabledLeavesZerosAlone) {
-  DistortionProblem p;
+  Instance p;
   p.base = {0.0, 0.0, 5.0};
   p.rank = {1, 2, 3};
   p.max_injection = 0;
   p.beta = 1.0;
-  const DistortionSolution s = optimize_release(p);
-  EXPECT_EQ(s.release[0], 0);
-  EXPECT_EQ(s.release[1], 0);
+  const poi::FrequencyVector release = p.solve();
+  EXPECT_EQ(release[0], 0);
+  EXPECT_EQ(release[1], 0);
 }
 
 /// Exhaustive reference solver for tiny instances: enumerates all integer
 /// releases with per-entry moves allowed by the same caps and picks the
 /// best feasible objective.
-double brute_force_best_objective(const DistortionProblem& p) {
+double brute_force_best_objective(const Instance& p) {
   const std::size_t m = p.base.size();
   std::vector<std::vector<std::int32_t>> choices(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -158,17 +197,7 @@ double brute_force_best_objective(const DistortionProblem& p) {
   poi::FrequencyVector release(m, 0);
   const std::function<void(std::size_t)> rec = [&](std::size_t i) {
     if (i == m) {
-      const double rounding = mean_relative_distortion(
-          p.base, [&] {
-            poi::FrequencyVector r(m);
-            for (std::size_t j = 0; j < m; ++j) {
-              r[j] = static_cast<std::int32_t>(
-                  std::llround(std::max(0.0, p.base[j])));
-            }
-            return r;
-          }());
-      if (mean_relative_distortion(p.base, release) - rounding <=
-          p.beta + 1e-12) {
+      if (spent_budget(p.base, release) <= p.beta + 1e-12) {
         best = std::max(best, weighted_objective(p.base, p.rank, release));
       }
       return;
@@ -190,7 +219,7 @@ TEST(Optimize, GreedyMatchesBruteForceOnSuppressOnlyInstances) {
   // never infeasible.
   common::Rng rng(17);
   for (int trial = 0; trial < 40; ++trial) {
-    DistortionProblem p;
+    Instance p;
     const std::size_t m = 4;
     for (std::size_t i = 0; i < m; ++i) {
       p.base.push_back(static_cast<double>(rng.uniform_int(0, 4)));
@@ -198,13 +227,162 @@ TEST(Optimize, GreedyMatchesBruteForceOnSuppressOnlyInstances) {
     }
     p.max_injection = 1;
     p.beta = rng.uniform(0.0, 0.6);
-    const DistortionSolution greedy = optimize_release(p);
+    const poi::FrequencyVector greedy = p.solve();
+    const double objective = weighted_objective(p.base, p.rank, greedy);
     const double best = brute_force_best_objective(p);
-    EXPECT_LE(greedy.spent_budget, p.beta + 1e-9);
-    EXPECT_GE(greedy.objective, 0.95 * best - 1e-9)
-        << "trial " << trial << " greedy=" << greedy.objective
+    EXPECT_LE(spent_budget(p.base, greedy), p.beta + 1e-9);
+    EXPECT_GE(objective, 0.95 * best - 1e-9)
+        << "trial " << trial << " greedy=" << objective
         << " brute=" << best;
   }
+}
+
+/// optimize_release as first written: sorts all M types by ratio, then
+/// skips the ones it may not move. Kept verbatim as the oracle for the
+/// candidate-only greedy, which must agree with it bit for bit.
+poi::FrequencyVector reference_optimize_release(const Instance& problem) {
+  const std::size_t m = problem.base.size();
+  poi::FrequencyVector release = rounded(problem.base);
+  if (m == 0) return release;
+
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto ratio = [&problem, m](std::size_t i) {
+    const double b = std::max(0.0, problem.base[i]);
+    return static_cast<double>(m) * (b + 1.0) /
+           static_cast<double>(problem.rank[i]);
+  };
+  std::sort(order.begin(), order.end(), [&ratio](std::size_t a, std::size_t b) {
+    const double ra = ratio(a);
+    const double rb = ratio(b);
+    if (ra != rb) return ra > rb;
+    return a < b;  // deterministic tie-break
+  });
+
+  double remaining = problem.beta * static_cast<double>(m);
+  for (const std::size_t i : order) {
+    if (remaining <= 0.0) break;
+    if (problem.max_rank > 0 && problem.rank[i] > problem.max_rank) continue;
+    const double b = std::max(0.0, problem.base[i]);
+    const double unit_cost = 1.0 / (b + 1.0);
+    const std::int32_t cap =
+        release[i] > 0 ? release[i] : problem.max_injection;
+    if (cap <= 0) continue;
+    const auto affordable = static_cast<std::int32_t>(remaining / unit_cost);
+    const std::int32_t delta = std::min(cap, affordable);
+    if (delta <= 0) continue;
+    if (release[i] > 0) {
+      release[i] -= delta;
+    } else {
+      release[i] += delta;
+    }
+    remaining -= static_cast<double>(delta) * unit_cost;
+  }
+  return release;
+}
+
+/// A random instance mixing negative, zero, fractional and integer bases.
+/// Some bases are set to c * R(i) - 1 so that several types share the
+/// ratio M * c and the index tie-break decides their order (b = 1 at
+/// R = 2 ties b = 0 at R = 1). Ranks are a permutation of 1..M or, on odd
+/// seeds, drawn with repeats.
+Instance random_instance(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const auto m = static_cast<std::size_t>(rng.uniform_int(0, 60));
+  Instance p;
+  p.rank.resize(m);
+  std::iota(p.rank.begin(), p.rank.end(), 1);
+  if (seed % 2 == 0) {
+    rng.shuffle(p.rank);
+  } else {
+    for (int& r : p.rank) {
+      r = static_cast<int>(rng.uniform_int(1, static_cast<std::int64_t>(m)));
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: p.base.push_back(rng.uniform(-3.0, 0.0)); break;
+      case 1: p.base.push_back(0.0); break;
+      case 2: p.base.push_back(rng.uniform(0.0, 8.0)); break;
+      case 3:
+        p.base.push_back(static_cast<double>(rng.uniform_int(0, 6)));
+        break;
+      default:
+        p.base.push_back(
+            static_cast<double>(rng.uniform_int(1, 2) * p.rank[i] - 1));
+        break;
+    }
+  }
+  return p;
+}
+
+TEST(OptimizeProperty, MatchesFullSortReferenceOn200Seeds) {
+  std::size_t ties = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Instance p = random_instance(seed);
+    const std::size_t m = p.base.size();
+    const auto ratio = [&p, m](std::size_t i) {
+      return static_cast<double>(m) * (std::max(0.0, p.base[i]) + 1.0) /
+             static_cast<double>(p.rank[i]);
+    };
+    for (std::size_t i = 0; i + 1 < m; ++i) {
+      for (std::size_t j = i + 1; j < m; ++j) {
+        if (ratio(i) == ratio(j)) ++ties;
+      }
+    }
+    for (const double beta : {0.0, 0.01, 0.05, 10.0}) {
+      for (const std::int32_t max_injection : {0, 2}) {
+        for (const int max_rank :
+             {0, static_cast<int>(m / 2), static_cast<int>(m)}) {
+          p.beta = beta;
+          p.max_injection = max_injection;
+          p.max_rank = max_rank;
+          EXPECT_EQ(p.solve(), reference_optimize_release(p))
+              << "seed " << seed << " beta " << beta << " max_injection "
+              << max_injection << " max_rank " << max_rank;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 200u) << "the instances must exercise the tie-break";
+}
+
+TEST(OptimizeProperty, DpDefenseReleaseMatchesReferenceOnBeijing) {
+  const poi::City city = poi::generate_city(poi::beijing_preset(), 3);
+  common::Rng pop_rng(4);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(city.db.bounds(), 10000, pop_rng),
+      city.db.bounds());
+  const defense::DpDefenseConfig config;  // the served default policy
+  const defense::DpDefense dp(city.db, cloaker, config);
+  const std::vector<int>& rank = city.db.infrequency_rank();
+  const int max_rank =
+      static_cast<int>(city.db.types_with_city_freq_at_most(10).size());
+  const geo::BBox& box = city.db.bounds();
+  const double r = 1.0;
+
+  int moved = 0;
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    common::Rng location_rng(seed);
+    const geo::Point location{location_rng.uniform(box.min_x, box.max_x),
+                              location_rng.uniform(box.min_y, box.max_y)};
+    common::Rng release_rng(seed + 1'000'000);
+    common::Rng reference_rng(seed + 1'000'000);
+    const poi::FrequencyVector release = dp.release(location, r, release_rng);
+
+    Instance p;
+    p.base = dp.noised_mean(location, r, reference_rng);
+    p.rank = rank;
+    p.beta = config.beta;
+    p.max_injection = config.max_injection;
+    p.max_rank = max_rank;
+    const poi::FrequencyVector expected = reference_optimize_release(p);
+    EXPECT_EQ(release, expected) << "seed " << seed;
+    if (expected != rounded(p.base)) ++moved;
+  }
+  // The greedy must actually have moved some releases for the comparison
+  // to cover its loop, not just the rounding.
+  EXPECT_GT(moved, 0);
 }
 
 }  // namespace
