@@ -5,8 +5,8 @@
 // src/net until SIGINT/SIGTERM (or after --max-frames frames, for
 // scripted smoke runs). Point any src/net Client at the printed port:
 //
-//   ./examples/serve_tcp [--port P] [--workers N] [--users N]
-//                        [--ceiling E] [--session-ttl N] [--cache-ttl N]
+//   ./examples/serve_tcp [--port P] [--workers N] [--ceiling E]
+//                        [--session-ttl N] [--cache-ttl N]
 //                        [--renew-window N] [--stream-users N]
 //                        [--stream-window N] [--max-frames N] [--seed N]
 //                        [--threads N] [--metrics[=F]] [--help]
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   try {
     const common::Flags flags(
         argc, argv,
-        {"port", "workers", "users", "ceiling", "session-ttl", "cache-ttl",
+        {"port", "workers", "ceiling", "session-ttl", "cache-ttl",
          "renew-window", "stream-users", "stream-window", "max-frames", "seed",
          common::Flags::kThreadsFlag, common::Flags::kMetricsFlag});
     if (flags.help_requested()) {

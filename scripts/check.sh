@@ -16,9 +16,11 @@
 #      fails here,
 #   4. a warning-clean Release build (-Werror, every target) plus the
 #      perfbench gate: the repository benchmark (perfbench/) builds in
-#      Release, its own perfbench_test passes, and a 2-second serve_hot
-#      run (open-loop TCP against a loopback server, every reply checked
-#      against the batch oracle) reports correct with no failed requests,
+#      Release, its own perfbench_test passes, and 2-second serve_hot and
+#      serve_cold runs (open-loop TCP against a loopback server, every
+#      reply checked against the batch oracle; the hot run pipelines
+#      cache-resident users, the cold one first-contact users) each report
+#      correct with no failed requests,
 #   5. the kernel-dispatch gate: the tier-1 suite re-runs with
 #      POIPRIVACY_KERNEL=scalar (the portable tier must carry the whole
 #      suite, not just the property tests), and poibench --all --smoke
@@ -77,18 +79,20 @@ cmake -S perfbench -B "$perfbench_build" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$perfbench_build" -j "$jobs" --target perfbench perfbench_test
 "$perfbench_build/perfbench_test" --gtest_brief=1 >/dev/null
 echo "perfbench_test clean"
-serve_hot_out="$(mktemp)"
-python3 perfbench/run.py --workload serve_hot --seed 1 --seconds 2 --trace 0 \
-  > "$serve_hot_out"
-python3 -c "
+for workload in serve_hot serve_cold; do
+  serve_out="$(mktemp)"
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+    --trace 0 > "$serve_out"
+  python3 -c "
 import json
-with open('$serve_hot_out') as f:
+with open('$serve_out') as f:
     doc = json.loads(f.read().splitlines()[-1])
 assert doc['correct'] is True, doc
 assert doc['failed'] == 0, doc
-print('perfbench serve_hot:', doc['attempted'], 'requests, all correct')
+print('perfbench $workload:', doc['attempted'], 'requests, all correct')
 "
-rm -f "$serve_hot_out"
+  rm -f "$serve_out"
+done
 
 echo "== [5/8] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
 (cd build && POIPRIVACY_KERNEL=scalar ctest -L tier1 --output-on-failure -j "$jobs")

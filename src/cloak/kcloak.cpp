@@ -10,25 +10,46 @@ AdaptiveIntervalCloaker::AdaptiveIntervalCloaker(std::vector<geo::Point> users,
 
 CloakResult AdaptiveIntervalCloaker::cloak(geo::Point target,
                                            std::size_t k) const {
+  // Each quadrant below is bit-identical to a quadtree cell's box. When
+  // the cells are exact, the walk reads the cell's count instead of a
+  // range count from the root; below a leaf, that leaf's ids are the only
+  // users the quadrant can hold. Otherwise (a user on a split line or
+  // outside the bounds) every count is a range count.
+  const bool exact = tree_.cells_exact();
+  std::int32_t cell = tree_.root();
   geo::BBox current = bounds_;
+  std::size_t current_users =
+      exact ? tree_.cell_count(cell) : tree_.count_in_box(current);
   int depth = 0;
   while (depth < kMaxDepth) {
     const geo::Point c = current.center();
-    // Quadrant containing the target (boundary goes left/bottom, matching
+    // Quadrant containing the target (boundary goes right/top, matching
     // the quadtree's partition rule).
+    const int q = (target.y < c.y ? 0 : 2) + (target.x < c.x ? 0 : 1);
     const geo::BBox quadrant{
         target.x < c.x ? current.min_x : c.x,
         target.y < c.y ? current.min_y : c.y,
         target.x < c.x ? c.x : current.max_x,
         target.y < c.y ? c.y : current.max_y,
     };
+    std::size_t inside = 0;
+    if (!exact) {
+      inside = tree_.count_in_box(quadrant);
+    } else if (!tree_.is_leaf(cell)) {
+      cell = tree_.child(cell, q);
+      inside = tree_.cell_count(cell);
+    } else {
+      for (const std::uint32_t id : tree_.cell_ids(cell)) {
+        if (quadrant.contains(tree_.point(id))) ++inside;
+      }
+    }
     // Requester + (k-1) registered users give k-anonymity.
-    const std::size_t inside = tree_.count_in_box(quadrant);
     if (inside + 1 < k) break;
     current = quadrant;
+    current_users = inside;
     ++depth;
   }
-  return {current, tree_.count_in_box(current), depth};
+  return {current, current_users, depth};
 }
 
 std::vector<geo::Point> AdaptiveIntervalCloaker::dummy_locations(

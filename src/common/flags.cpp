@@ -113,8 +113,9 @@ double Flags::get(const std::string& name, double fallback) const {
 }
 
 std::size_t Flags::apply_threads_flag() const {
-  const std::int64_t n = get(kThreadsFlag, std::int64_t{0});
-  if (n < 0) throw std::invalid_argument("--threads must be >= 1");
+  // 0 keeps the hardware default; the cap stops a typo from asking the OS
+  // for that many threads.
+  const std::int64_t n = get_in_range(kThreadsFlag, 0, 0, kMaxThreads);
   set_default_thread_count(static_cast<std::size_t>(n));
   return default_thread_count();
 }

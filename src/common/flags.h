@@ -46,9 +46,11 @@ class Flags {
   std::string usage(const std::string& program) const;
 
   /// Reads `--threads N` and installs it as the process-wide evaluation
-  /// concurrency (common::set_default_thread_count). Without the flag the
-  /// default stays hardware_concurrency; `--threads 1` restores the fully
-  /// serial path. Returns the effective thread count. Binaries that accept
+  /// concurrency (common::set_default_thread_count). Without the flag, or
+  /// with `--threads 0`, the default stays hardware_concurrency;
+  /// `--threads 1` restores the fully serial path. A value outside
+  /// 0..kMaxThreads throws std::invalid_argument before anything is
+  /// installed. Returns the effective thread count. Binaries that accept
   /// the flag must list kThreadsFlag among their known flags.
   std::size_t apply_threads_flag() const;
 
@@ -60,6 +62,7 @@ class Flags {
   void apply_metrics_flag() const;
 
   static constexpr const char* kThreadsFlag = "threads";
+  static constexpr std::int64_t kMaxThreads = 256;
   static constexpr const char* kMetricsFlag = "metrics";
   static constexpr const char* kHelpFlag = "help";
 

@@ -73,13 +73,19 @@ std::vector<double> noise_aggregate(const DpDefenseConfig& config,
   const double k = static_cast<double>(aggregate.k);
   std::vector<double> mean(m, 0.0);
   const dp::PrivacyParams params{config.epsilon, config.delta};
+  // Calibrated at the first type with positive sensitivity, so a release
+  // with none never checks (or throws on) the parameters.
+  double gaussian_factor = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     double noised = aggregate.sum[i];
     if (aggregate.sensitivity[i] > 0.0) {
       switch (config.noise) {
         case DpNoiseKind::kGaussian: {
-          const double sigma = dp::GaussianMechanism::calibrated_sigma(
-              params, aggregate.sensitivity[i]);
+          if (gaussian_factor == 0.0) {
+            gaussian_factor = dp::GaussianMechanism::sigma_factor(params);
+          }
+          const double sigma =
+              gaussian_factor * aggregate.sensitivity[i] / config.epsilon;
           noised += rng.normal(0.0, sigma);
           break;
         }

@@ -23,17 +23,21 @@ std::int32_t LaplaceMechanism::release_count(double count,
       std::max(0.0, std::round(perturb(count, rng))));
 }
 
-double GaussianMechanism::calibrated_sigma(PrivacyParams params,
-                                           double sensitivity) {
+double GaussianMechanism::sigma_factor(PrivacyParams params) {
   if (params.epsilon <= 0.0 || params.delta <= 0.0 || params.delta >= 1.0) {
     throw std::invalid_argument(
         "gaussian: requires epsilon > 0 and delta in (0, 1)");
   }
+  return std::sqrt(2.0 * std::log(1.25 / params.delta));
+}
+
+double GaussianMechanism::calibrated_sigma(PrivacyParams params,
+                                           double sensitivity) {
+  const double factor = sigma_factor(params);
   if (sensitivity < 0.0) {
     throw std::invalid_argument("gaussian: sensitivity must be >= 0");
   }
-  return std::sqrt(2.0 * std::log(1.25 / params.delta)) * sensitivity /
-         params.epsilon;
+  return factor * sensitivity / params.epsilon;
 }
 
 GaussianMechanism::GaussianMechanism(PrivacyParams params, double sensitivity)

@@ -49,8 +49,14 @@ class GaussianMechanism {
   /// The calibrated noise standard deviation.
   double sigma() const noexcept { return sigma_; }
 
-  /// sigma for the given parameters without constructing a mechanism.
+  /// sigma for the given parameters without constructing a mechanism:
+  /// sigma_factor(params) * sensitivity / epsilon.
   static double calibrated_sigma(PrivacyParams params, double sensitivity);
+
+  /// The sensitivity-free part of sigma, sqrt(2 ln(1.25 / delta)), with
+  /// calibrated_sigma's parameter checks — for callers calibrating many
+  /// sensitivities under one (epsilon, delta).
+  static double sigma_factor(PrivacyParams params);
 
  private:
   double sigma_;

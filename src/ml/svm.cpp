@@ -7,6 +7,13 @@
 
 namespace poiprivacy::ml {
 
+// The `f += scaled * row` update below is training's hot loop; GCC 12
+// vectorizes it into a body just over 32 bytes. Aligned only to 32, it
+// straddles a 64-byte line or not depending on how much code precedes it
+// in the link, which swung recovery-training time by ~20% across edits
+// to unrelated modules. Cache-line-aligned loops keep it inside one line
+// whatever the layout.
+[[gnu::optimize("align-loops=64")]]
 void BinarySvm::train(const GramMatrix& gram, std::span<const int> labels,
                       const SvmConfig& config, common::Rng& rng) {
   if (config.kernel != gram.basis().params()) {

@@ -1,7 +1,9 @@
 #include "net/frame.h"
 
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -64,18 +66,31 @@ int read_exact(int fd, std::uint8_t* buf, std::size_t n) noexcept {
   return 0;
 }
 
-bool write_exact(int fd, const std::uint8_t* buf, std::size_t n) noexcept {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::write(fd, buf + sent, n - sent);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
+/// Writes every byte of iov[0..count), looping over short writes.
+bool writev_exact(int fd, iovec* iov, int count) noexcept {
+  while (count > 0) {
+    const ssize_t w = ::writev(fd, iov, count);
     if (w < 0 && errno == EINTR) continue;
-    return false;
+    if (w <= 0) return false;
+    auto left = static_cast<std::size_t>(w);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
+}
+
+void put_header(std::uint8_t* header, std::uint32_t length) noexcept {
+  header[0] = static_cast<std::uint8_t>(length);
+  header[1] = static_cast<std::uint8_t>(length >> 8);
+  header[2] = static_cast<std::uint8_t>(length >> 16);
+  header[3] = static_cast<std::uint8_t>(length >> 24);
 }
 
 }  // namespace
@@ -189,13 +204,31 @@ FrameIo read_frame(int fd, std::vector<std::uint8_t>& body,
 bool write_frame(int fd, std::span<const std::uint8_t> body) {
   if (body.size() > kMaxFrameBytes) return false;
   std::uint8_t header[4];
-  const auto length = static_cast<std::uint32_t>(body.size());
-  header[0] = static_cast<std::uint8_t>(length);
-  header[1] = static_cast<std::uint8_t>(length >> 8);
-  header[2] = static_cast<std::uint8_t>(length >> 16);
-  header[3] = static_cast<std::uint8_t>(length >> 24);
-  if (!write_exact(fd, header, sizeof header)) return false;
-  return body.empty() || write_exact(fd, body.data(), body.size());
+  put_header(header, static_cast<std::uint32_t>(body.size()));
+  iovec iov[2] = {
+      {header, sizeof header},
+      {const_cast<std::uint8_t*>(body.data()), body.size()},
+  };
+  return writev_exact(fd, iov, body.empty() ? 1 : 2);
+}
+
+std::uint32_t frame_length(const std::uint8_t* header) noexcept {
+  return get_u32(header);
+}
+
+bool append_frame(std::span<const std::uint8_t> body,
+                  std::vector<std::uint8_t>& out) {
+  if (body.size() > kMaxFrameBytes) return false;
+  const std::size_t at = out.size();
+  out.resize(at + 4 + body.size());
+  put_header(out.data() + at, static_cast<std::uint32_t>(body.size()));
+  std::copy(body.begin(), body.end(), out.begin() + at + 4);
+  return true;
+}
+
+bool write_all(int fd, std::span<const std::uint8_t> bytes) {
+  iovec iov{const_cast<std::uint8_t*>(bytes.data()), bytes.size()};
+  return bytes.empty() || writev_exact(fd, &iov, 1);
 }
 
 }  // namespace poiprivacy::net

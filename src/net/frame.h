@@ -28,7 +28,10 @@
 // tests exercise truncation/oversize/round-trip without a socket. The
 // frame I/O layer (read_frame/write_frame) handles short reads/writes
 // and EINTR on a blocking fd; a clean EOF *between* frames is kClosed,
-// an EOF inside a frame is kError.
+// an EOF inside a frame is kError. write_frame sends header and body in
+// one writev. The server batches instead: it parses frames out of its
+// own read buffer (frame_length) and queues every reply of a wake with
+// append_frame for a single write_all.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +81,19 @@ enum class FrameIo : std::uint8_t {
 FrameIo read_frame(int fd, std::vector<std::uint8_t>& body,
                    std::size_t max_bytes = kMaxFrameBytes);
 
-/// Writes one frame (header + body), looping over short writes.
+/// Writes one frame (header + body) in one writev, looping over short
+/// writes.
 bool write_frame(int fd, std::span<const std::uint8_t> body);
+
+/// The body length announced by a 4-byte frame header.
+std::uint32_t frame_length(const std::uint8_t* header) noexcept;
+
+/// Appends one frame (header + body) to `out`, for a batched write;
+/// false (nothing appended) for a body over kMaxFrameBytes.
+bool append_frame(std::span<const std::uint8_t> body,
+                  std::vector<std::uint8_t>& out);
+
+/// Writes all of `bytes`, looping over short writes and EINTR.
+bool write_all(int fd, std::span<const std::uint8_t> bytes);
 
 }  // namespace poiprivacy::net

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "net/frame.h"
@@ -33,6 +35,25 @@ struct NetMetrics {
     return *metrics;
   }
 };
+
+/// Bytes one read() asks for. A wake serves every whole frame the read
+/// completes and answers them with one write.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
+/// Serves one request body; nullopt when it decodes as neither request
+/// kind (the kinds are disambiguated by body length, 36 vs 25 bytes).
+std::optional<service::ReleaseResult> serve_body(
+    service::ReleaseService& service, std::span<const std::uint8_t> body) {
+  if (body.size() == kStreamRequestBodyBytes) {
+    const std::optional<service::StreamRequest> request =
+        decode_stream_request(body);
+    if (!request) return std::nullopt;
+    return service.serve_stream(*request);
+  }
+  const std::optional<service::ReleaseRequest> request = decode_request(body);
+  if (!request) return std::nullopt;
+  return service.serve_concurrent(*request);
+}
 
 }  // namespace
 
@@ -161,45 +182,66 @@ void ReleaseServer::connection_loop() {
 
 void ReleaseServer::serve_connection(int fd) {
   NetMetrics& metrics = NetMetrics::get();
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> in;  // in[0, held): received, not yet served
+  std::size_t held = 0;
+  std::vector<std::uint8_t> out;  // this wake's reply frames
+  std::uint64_t replies = 0;      // frames in `out`
   std::vector<std::uint8_t> reply;
+  const auto flush = [&] {
+    if (out.empty()) return true;
+    if (!write_all(fd, out)) return false;
+    frames_served_.fetch_add(replies, std::memory_order_relaxed);
+    metrics.frames.add(replies);
+    out.clear();
+    replies = 0;
+    return true;
+  };
+  // A protocol error still answers the frames before it, then closes.
+  const auto protocol_error = [&] {
+    flush();
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    metrics.protocol_errors.add(1);
+  };
   for (;;) {
-    switch (read_frame(fd, body, config_.max_frame_bytes)) {
-      case FrameIo::kOk:
-        break;
-      case FrameIo::kClosed:
-        return;
-      case FrameIo::kTooLarge:
-      case FrameIo::kError:
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
-        return;
+    if (in.size() < held + kReadChunkBytes) in.resize(held + kReadChunkBytes);
+    ssize_t got = 0;
+    do {
+      got = ::read(fd, in.data() + held, kReadChunkBytes);
+    } while (got < 0 && errno == EINTR);
+    if (got <= 0) {
+      // EOF on a frame boundary closes quietly; EOF inside a frame or a
+      // read error is a protocol error.
+      if (got < 0 || held > 0) protocol_error();
+      return;
     }
-    // Request kinds are disambiguated by body length (36 vs 25 bytes).
-    service::ReleaseResult result;
-    if (body.size() == kStreamRequestBodyBytes) {
-      const std::optional<service::StreamRequest> request =
-          decode_stream_request(body);
-      if (!request) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
+    held += static_cast<std::size_t>(got);
+    std::size_t pos = 0;
+    while (held - pos >= 4) {
+      const std::uint32_t length = frame_length(in.data() + pos);
+      if (length > config_.max_frame_bytes) {
+        protocol_error();
         return;
       }
-      result = service_->serve_stream(*request);
-    } else {
-      const std::optional<service::ReleaseRequest> request =
-          decode_request(body);
-      if (!request) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
+      if (held - pos - 4 < length) break;
+      const std::optional<service::ReleaseResult> result =
+          serve_body(*service_, {in.data() + pos + 4, length});
+      if (!result) {
+        protocol_error();
         return;
       }
-      result = service_->serve_concurrent(*request);
+      pos += 4 + length;
+      encode_response(*result, reply);
+      if (!append_frame(reply, out)) {
+        flush();
+        return;
+      }
+      ++replies;
     }
-    encode_response(result, reply);
-    if (!write_frame(fd, reply)) return;
-    frames_served_.fetch_add(1, std::memory_order_relaxed);
-    metrics.frames.add(1);
+    if (pos > 0) {  // keep the partial frame's bytes at the front
+      std::memmove(in.data(), in.data() + pos, held - pos);
+      held -= pos;
+    }
+    if (!flush()) return;
   }
 }
 

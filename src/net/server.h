@@ -7,6 +7,12 @@
 // ReleaseService::serve_concurrent() — the lock-free admission path —
 // so the socket tier adds no locking of its own around the service.
 //
+// Frame I/O is batched per connection: one read() of up to 64 KiB per
+// wake, every whole frame in the buffer served in arrival order, and
+// all of their replies sent with one write before the next read. A
+// pipelining client thus costs two syscalls per burst, not four per
+// request; replies still leave in request order.
+//
 // Threading model (deliberately boring): one accept thread pushes
 // connected fds onto a bounded-by-backlog queue; `workers` long-lived
 // connection loops pop fds and own one connection each until it closes.
@@ -20,9 +26,11 @@
 // not a C10K design.
 //
 // Protocol errors fail the connection, not the server: a malformed or
-// oversized frame closes that connection (counted in stats) and the
-// worker moves on. stop() shuts down the listener and every live
-// connection, then joins; it is idempotent and run by the destructor.
+// oversized frame, or an EOF inside a frame, closes that connection
+// (counted in stats) once the replies to the frames before it are
+// written, and the worker moves on. stop() shuts down the listener and
+// every live connection, then joins; it is idempotent and run by the
+// destructor.
 #pragma once
 
 #include <atomic>

@@ -22,6 +22,12 @@ std::int32_t Quadtree::build(const geo::BBox& box,
   nodes_[index].box = box;
   nodes_[index].count = ids.size();
   if (ids.size() <= max_leaf_ || depth >= max_depth_) {
+    // A root leaf is never partitioned, so its bounds check happens here.
+    if (depth == 0) {
+      for (const std::uint32_t id : ids) {
+        if (!bounds_.contains(points_[id])) cells_exact_ = false;
+      }
+    }
     nodes_[index].ids = std::move(ids);
     return index;
   }
@@ -33,13 +39,18 @@ std::int32_t Quadtree::build(const geo::BBox& box,
       {c.x, c.y, box.max_x, box.max_y},
   };
   std::vector<std::uint32_t> parts[4];
+  bool exact = true;
   for (const std::uint32_t id : ids) {
     const geo::Point p = points_[id];
-    // Assign boundary points to exactly one quadrant (left/bottom wins).
+    // Assign boundary points to exactly one quadrant (right/top wins).
     const int qx = p.x < c.x ? 0 : 1;
     const int qy = p.y < c.y ? 0 : 1;
     parts[qy * 2 + qx].push_back(id);
+    // A point on the split line also lies in a sibling's closed box; one
+    // outside bounds lies in no cell's box. Either breaks cells_exact().
+    exact = exact && p.x != c.x && p.y != c.y && bounds_.contains(p);
   }
+  cells_exact_ = cells_exact_ && exact;
   ids.clear();
   ids.shrink_to_fit();
   for (int q = 0; q < 4; ++q) {

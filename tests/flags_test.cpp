@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parallel.h"
 #include "eval/bench_options.h"
 
 namespace poiprivacy::eval {
@@ -93,6 +94,23 @@ TEST(FlagValues, WellFormedNumbersParse) {
   const common::Flags flags(5, argv);
   EXPECT_EQ(flags.get("seed", std::int64_t{0}), -12);
   EXPECT_EQ(flags.get("eps", 0.0), 0.25);
+}
+
+TEST(FlagValues, ThreadsOutOfRangeThrowsAndLeavesTheDefault) {
+  const std::size_t before = common::default_thread_count();
+  for (const char* value : {"-1", "257", "100000"}) {
+    const char* argv[] = {"prog", "--threads", value};
+    const common::Flags flags(3, argv);
+    try {
+      flags.apply_threads_flag();
+      ADD_FAILURE() << "--threads " << value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("invalid value for --threads: '") + value +
+                    "' (expected 0..256)");
+    }
+    EXPECT_EQ(common::default_thread_count(), before) << value;
+  }
 }
 
 }  // namespace

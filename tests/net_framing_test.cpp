@@ -1,17 +1,20 @@
 // Wire-format contracts of the socket front-end (src/net): codec
 // round-trips, rejection of every malformed-frame shape (truncated
 // header, truncated body, oversized length, zero-length body, stray
-// status bytes), robustness to partial reads — and a loopback smoke
+// status bytes), robustness to partial reads — a loopback smoke
 // proving a released vector that crosses the TCP boundary is
-// byte-identical to one produced by the in-process batch path.
+// byte-identical to one produced by the in-process batch path, and the
+// server's batched frame I/O under bursts, bad frames, EOFs and drips.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -380,6 +383,202 @@ TEST(NetLoopback, MalformedFrameClosesConnectionNotServer) {
   server.stop();
   EXPECT_GE(server.stats().protocol_errors, 1u);
   EXPECT_EQ(server.stats().frames_served, 1u);
+}
+
+/// Batched frame I/O: the server reads whatever the socket holds, serves
+/// every whole frame in it in order and answers them with one write. The
+/// raw-socket tests below send bursts, errors and drips that the
+/// one-request-at-a-time Client never produces.
+class NetBatch : public ::testing::Test {
+ protected:
+  NetBatch()
+      : city_(poi::generate_city(poi::test_preset(), 7)),
+        cloaker_(make_cloaker(city_)) {
+    config_.policies.push_back(
+        {"precise", {.k = 8, .epsilon = 1.0, .delta = 0.05}});
+    config_.policies.push_back(
+        {"coarse", {.k = 8, .epsilon = 0.25, .delta = 0.01}});
+    config_.degrade_policy = 1;
+    config_.epsilon_ceiling = 3.5;
+    config_.delta_ceiling = 1.0;
+    config_.seed = 99;
+  }
+
+  static cloak::AdaptiveIntervalCloaker make_cloaker(const poi::City& city) {
+    common::Rng pop_rng(3);
+    return cloak::AdaptiveIntervalCloaker(
+        cloak::uniform_population(city.db.bounds(), 500, pop_rng),
+        city.db.bounds());
+  }
+
+  std::vector<service::ReleaseRequest> trace(std::size_t users,
+                                             std::size_t per_user) const {
+    service::WorkloadConfig workload;
+    workload.num_users = users;
+    workload.requests_per_user = per_user;
+    workload.seed = 11;
+    return service::requests_of(service::generate_workload(city_, workload));
+  }
+
+  /// A blocking loopback connection with Nagle off, so every write()
+  /// leaves as its own segment.
+  static int connect_raw(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd);
+      return -1;
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return fd;
+  }
+
+  static std::vector<std::uint8_t> frame_of(
+      const service::ReleaseRequest& request) {
+    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> frame;
+    net::encode_request(request, body);
+    net::append_frame(body, frame);
+    return frame;
+  }
+
+  /// Reads `n` reply frames and checks each is byte-equal to the encoding
+  /// of `expected[i]`.
+  static void expect_replies(int fd,
+                             const std::vector<service::ReleaseResult>& expected) {
+    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> want;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(net::read_frame(fd, body), net::FrameIo::kOk) << "reply " << i;
+      net::encode_response(expected[i], want);
+      EXPECT_EQ(body, want) << "reply " << i;
+    }
+  }
+
+  poi::City city_;
+  cloak::AdaptiveIntervalCloaker cloaker_;
+  service::ServiceConfig config_;
+  FakeStreamSource source_;
+};
+
+TEST_F(NetBatch, BurstInOneWriteIsAnsweredInOrder) {
+  const std::vector<service::ReleaseRequest> classic = trace(8, 8);
+  ASSERT_EQ(classic.size(), 64u);
+  const service::StreamRequest stream{5, 1, 0, 4, 0};
+
+  service::ReleaseService inproc(city_.db, cloaker_, config_);
+  inproc.attach_stream_source(&source_);
+  std::vector<service::ReleaseResult> expected;
+  std::vector<std::uint8_t> wire;
+  std::vector<std::uint8_t> body;
+  for (std::size_t i = 0; i < classic.size(); ++i) {
+    if (i == 32) {
+      expected.push_back(inproc.serve_stream(stream));
+      net::encode_stream_request(stream, body);
+      net::append_frame(body, wire);
+    }
+    expected.push_back(inproc.serve_concurrent(classic[i]));
+    net::encode_request(classic[i], body);
+    net::append_frame(body, wire);
+  }
+
+  service::ReleaseService served(city_.db, cloaker_, config_);
+  served.attach_stream_source(&source_);
+  net::ReleaseServer server(served, net::ServerConfig{});
+  server.start();
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(net::write_all(fd, wire));
+  expect_replies(fd, expected);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().frames_served, expected.size());
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+}
+
+TEST_F(NetBatch, BadFrameAfterGoodOnesAnswersThemThenCloses) {
+  const std::vector<service::ReleaseRequest> requests = trace(2, 3);
+  service::ReleaseService inproc(city_.db, cloaker_, config_);
+  std::vector<service::ReleaseResult> expected;
+  std::vector<std::uint8_t> wire;
+  for (const auto& request : requests) {
+    expected.push_back(inproc.serve_concurrent(request));
+    const std::vector<std::uint8_t> frame = frame_of(request);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  // Valid framing, but a 3-byte body is neither request kind.
+  net::append_frame(std::vector<std::uint8_t>(3, 0), wire);
+
+  service::ReleaseService served(city_.db, cloaker_, config_);
+  net::ReleaseServer server(served, net::ServerConfig{});
+  server.start();
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(net::write_all(fd, wire));
+  expect_replies(fd, expected);
+  std::vector<std::uint8_t> body;
+  EXPECT_EQ(net::read_frame(fd, body), net::FrameIo::kClosed);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().frames_served, expected.size());
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+}
+
+TEST_F(NetBatch, EofInsideAFrameIsAProtocolError) {
+  const std::vector<service::ReleaseRequest> requests = trace(1, 2);
+  service::ReleaseService inproc(city_.db, cloaker_, config_);
+  const std::vector<service::ReleaseResult> expected = {
+      inproc.serve_concurrent(requests[0])};
+  std::vector<std::uint8_t> wire = frame_of(requests[0]);
+  const std::vector<std::uint8_t> cut = frame_of(requests[1]);
+  wire.insert(wire.end(), cut.begin(), cut.begin() + 4 + 10);
+
+  service::ReleaseService served(city_.db, cloaker_, config_);
+  net::ReleaseServer server(served, net::ServerConfig{});
+  server.start();
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(net::write_all(fd, wire));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);  // EOF 10 bytes into the body
+  expect_replies(fd, expected);
+  std::vector<std::uint8_t> body;
+  EXPECT_EQ(net::read_frame(fd, body), net::FrameIo::kClosed);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().frames_served, 1u);
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+}
+
+TEST_F(NetBatch, RequestDrippedOneByteAtATime) {
+  const std::vector<service::ReleaseRequest> requests = trace(1, 2);
+  service::ReleaseService inproc(city_.db, cloaker_, config_);
+  std::vector<service::ReleaseResult> expected;
+  std::vector<std::uint8_t> wire;
+  for (const auto& request : requests) {
+    expected.push_back(inproc.serve_concurrent(request));
+    const std::vector<std::uint8_t> frame = frame_of(request);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+
+  service::ReleaseService served(city_.db, cloaker_, config_);
+  net::ReleaseServer server(served, net::ServerConfig{});
+  server.start();
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  for (const std::uint8_t byte : wire) {
+    ASSERT_EQ(::write(fd, &byte, 1), 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  expect_replies(fd, expected);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().frames_served, expected.size());
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
 }
 
 }  // namespace
