@@ -15,12 +15,9 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv, {"seed", "eps", "ceiling"});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
   const poi::City city = poi::generate_city(poi::beijing_preset(), seed);
@@ -69,4 +66,10 @@ int main(int argc, char** argv) {
               << " delta=" << common::fmt(spent.delta, 3) << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, {"seed", "eps", "ceiling"}, run);
 }

@@ -14,12 +14,9 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv, {"seed", "city", "map"});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
   const std::string which = flags.get("city", std::string("beijing"));
@@ -65,4 +62,10 @@ int main(int argc, char** argv) {
     std::cout << poi::render_density(poi::density_grid(db, 1.0));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, {"seed", "city", "map"}, run);
 }

@@ -10,6 +10,7 @@
 //   poicli uniqueness --db FILE --r KM [--cell KM]
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "attack/fine_grained.h"
 #include "attack/region_reid.h"
@@ -27,25 +28,28 @@ using namespace poiprivacy;
 
 namespace {
 
+constexpr const char* kCommands =
+    "commands:\n"
+    "  poicli generate   --city beijing|nyc [--seed N] --out FILE\n"
+    "  poicli attack     --db FILE --x KM --y KM --r KM\n"
+    "  poicli protect    --db FILE --x KM --y KM --r KM\n"
+    "                    --mechanism sanitize|geoind|kcloak|opt|dp\n"
+    "                    [--beta B] [--epsilon E] [--k K]\n"
+    "  poicli uniqueness --db FILE --r KM [--cell KM]\n";
+
 int usage() {
-  std::cerr << "usage:\n"
-            << "  poicli generate   --city beijing|nyc [--seed N] --out FILE\n"
-            << "  poicli attack     --db FILE --x KM --y KM --r KM\n"
-            << "  poicli protect    --db FILE --x KM --y KM --r KM\n"
-            << "                    --mechanism sanitize|geoind|kcloak|opt|dp\n"
-            << "                    [--beta B] [--epsilon E] [--k K]\n"
-            << "  poicli uniqueness --db FILE --r KM [--cell KM]\n";
+  std::cerr << kCommands;
   return 2;
 }
 
 int cmd_generate(const common::Flags& flags) {
   const std::string which = flags.get("city", std::string("beijing"));
   const std::string out = flags.get("out", std::string());
+  const auto seed = static_cast<std::uint64_t>(
+      flags.get("seed", static_cast<std::int64_t>(42)));
   if (out.empty()) return usage();
   const poi::CityPreset preset =
       which == "nyc" ? poi::nyc_preset() : poi::beijing_preset();
-  const auto seed = static_cast<std::uint64_t>(
-      flags.get("seed", static_cast<std::int64_t>(42)));
   const poi::City city = poi::generate_city(preset, seed);
   poi::save_csv(city.db, out);
   std::cout << "wrote " << city.db.pois().size() << " POIs ("
@@ -162,14 +166,7 @@ int cmd_uniqueness(const common::Flags& flags) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv);
-  if (flags.help_requested()) {
-    usage();
-    return 0;
-  }
+int run(const common::Flags& flags) {
   if (flags.positional().size() != 1) return usage();
   const std::string& command = flags.positional().front();
   try {
@@ -177,9 +174,17 @@ int main(int argc, char** argv) {
     if (command == "attack") return cmd_attack(flags);
     if (command == "protect") return cmd_protect(flags);
     if (command == "uniqueness") return cmd_uniqueness(flags);
+  } catch (const std::invalid_argument&) {
+    throw;  // a bad flag value: run_main reports it and exits 2
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, {}, run, kCommands);
 }

@@ -14,12 +14,9 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv, {"seed"});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
 
@@ -73,4 +70,10 @@ int main(int argc, char** argv) {
             << ", top-10 Jaccard utility="
             << poi::top_k_jaccard(released, private_release, 10) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, {"seed"}, run);
 }

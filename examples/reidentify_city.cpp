@@ -14,14 +14,9 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv,
-                            {"seed", "locations", common::Flags::kThreadsFlag,
-                             common::Flags::kMetricsFlag});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   eval::WorkbenchConfig config;
   config.seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
@@ -51,4 +46,13 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv,
+                          {"seed", "locations", common::Flags::kThreadsFlag,
+                           common::Flags::kMetricsFlag},
+                          run);
 }

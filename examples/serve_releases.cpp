@@ -15,21 +15,15 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv,
-                            {"users", "requests", "seed", "ceiling",
-                             common::Flags::kThreadsFlag,
-                             common::Flags::kMetricsFlag});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
   const auto users = static_cast<std::size_t>(
-      flags.get("users", static_cast<std::int64_t>(200)));
+      flags.get_in_range("users", 200, 1, 1'000'000));
   const auto requests_per_user = static_cast<std::size_t>(
-      flags.get("requests", static_cast<std::int64_t>(18)));
+      flags.get_in_range("requests", 18, 1, 10'000));
   flags.apply_threads_flag();
   flags.apply_metrics_flag();
 
@@ -64,7 +58,7 @@ int main(int argc, char** argv) {
   const std::vector<service::ReleaseResult> results =
       gsp.serve(service::requests_of(trace));
 
-  const service::ServiceStats& stats = gsp.stats();
+  const service::ServiceStats stats = gsp.concurrent_stats();
   eval::print_section(std::cout, "admission outcomes");
   eval::Table outcomes({"status", "count", "fraction"});
   for (const service::ReleaseStatus status : service::kAllStatuses) {
@@ -99,7 +93,7 @@ int main(int argc, char** argv) {
   const service::ReleaseCacheStats cache = gsp.cache_stats();
   eval::print_section(std::cout, "release cache");
   eval::print_note(std::cout,
-                   "effective hit rate: " +
+                   "hit rate: " +
                        common::fmt(stats.cache_hit_rate()) + " (" +
                        std::to_string(stats.cache_hits) + " hits / " +
                        std::to_string(stats.cache_misses) + " computes)");
@@ -108,7 +102,16 @@ int main(int argc, char** argv) {
                        " of " + std::to_string(gsp.config().cache_capacity) +
                        ", evictions: " + std::to_string(cache.evictions()));
   eval::print_note(std::cout,
-                   "users seen: " + std::to_string(gsp.num_users()) +
-                       ", batches: " + std::to_string(stats.batches));
+                   "users seen: " + std::to_string(gsp.num_users()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv,
+                          {"users", "requests", "seed", "ceiling",
+                           common::Flags::kThreadsFlag,
+                           common::Flags::kMetricsFlag},
+                          run);
 }

@@ -29,7 +29,6 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 #include <thread>
 
 #include "attack/attack_context.h"
@@ -91,25 +90,8 @@ Options parse_options(const common::Flags& flags) {
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options options;
-  try {
-    const common::Flags flags(
-        argc, argv,
-        {"port", "workers", "ceiling", "session-ttl", "cache-ttl",
-         "renew-window", "stream-users", "stream-window", "max-frames", "seed",
-         common::Flags::kThreadsFlag, common::Flags::kMetricsFlag});
-    if (flags.help_requested()) {
-      std::cout << flags.usage(argv[0]);
-      return 0;
-    }
-    options = parse_options(flags);
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 2;
-  }
+int run(const common::Flags& flags) {
+  const Options options = parse_options(flags);
   const std::uint64_t seed = options.seed;
 
   const poi::City city = poi::generate_city(poi::beijing_preset(), seed);
@@ -197,4 +179,15 @@ int main(int argc, char** argv) {
             << sessions.renewals << " budget renewals, "
             << sessions.full_refusals << " full-table refusals\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(
+      argc, argv,
+      {"port", "workers", "ceiling", "session-ttl", "cache-ttl",
+       "renew-window", "stream-users", "stream-window", "max-frames", "seed",
+       common::Flags::kThreadsFlag, common::Flags::kMetricsFlag},
+      run);
 }

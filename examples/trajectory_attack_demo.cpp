@@ -13,12 +13,9 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv, {"seed", "r"});
-  if (flags.help_requested()) {
-    std::cout << flags.usage(argv[0]);
-    return 0;
-  }
+namespace {
+
+int run(const common::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
   const double r = flags.get("r", 1.0);
@@ -91,4 +88,10 @@ int main(int argc, char** argv) {
   std::cout << "  two-release success:    "
             << common::fmt(static_cast<double>(enhanced) / attempts) << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return common::run_main(argc, argv, {"seed", "r"}, run);
 }

@@ -18,9 +18,9 @@
 #      perfbench gate: the repository benchmark (perfbench/) builds in
 #      Release, its own perfbench_test passes, and 2-second serve_hot and
 #      serve_cold runs (open-loop TCP against a loopback server, every
-#      reply checked against the batch oracle; the hot run pipelines
-#      cache-resident users, the cold one first-contact users) each report
-#      correct with no failed requests,
+#      reply checked against an in-process serve() of the trace; the
+#      hot run pipelines cache-resident users, the cold one first-contact
+#      users) each report correct with no failed requests,
 #   5. the kernel-dispatch gate: the tier-1 suite re-runs with
 #      POIPRIVACY_KERNEL=scalar (the portable tier must carry the whole
 #      suite, not just the property tests), and poibench --all --smoke

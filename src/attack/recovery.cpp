@@ -12,7 +12,7 @@ namespace poiprivacy::attack {
 namespace {
 
 // Wall time of whole recovery-model trainings and of single recover()
-// calls, named like the service.phase.* spans.
+// calls, named like the other obs histograms (`<layer>.<what>_seconds`).
 struct RecoveryMetrics {
   obs::Histogram& train_seconds;
   obs::Histogram& predict_seconds;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 
@@ -131,6 +132,23 @@ bool Flags::get(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+int run_main(int argc, const char* const* argv,
+             const std::vector<std::string>& known,
+             const std::function<int(const Flags&)>& body,
+             const std::string& help) {
+  try {
+    const Flags flags(argc, argv, known);
+    if (flags.help_requested()) {
+      std::cout << flags.usage(argc > 0 ? argv[0] : "") << help;
+      return 0;
+    }
+    return body(flags);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace poiprivacy::common

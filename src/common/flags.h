@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -71,5 +72,15 @@ class Flags {
   std::vector<std::string> positional_;
   std::vector<std::string> known_;
 };
+
+/// The main() of an example binary. Parses argv against `known` (see
+/// Flags); on --help prints the usage text, then `help` if given, and
+/// returns 0; otherwise returns body(flags). A std::invalid_argument from
+/// the parse or the body — an unknown flag or a malformed or out-of-range
+/// value — prints "error: <what>" to stderr and returns 2.
+int run_main(int argc, const char* const* argv,
+             const std::vector<std::string>& known,
+             const std::function<int(const Flags&)>& body,
+             const std::string& help = {});
 
 }  // namespace poiprivacy::common

@@ -66,9 +66,10 @@ struct ServerStats {
 
 class ReleaseServer {
  public:
-  /// The service must outlive the server; serve_concurrent is the only
-  /// member the server calls, so the owner may keep using the batch path
-  /// (at the cost of batch-path replay determinism, as documented there).
+  /// The service must outlive the server. The server calls only
+  /// serve_concurrent and serve_stream, so the owner may serve requests
+  /// in process beside it; their arrivals then interleave in the noise
+  /// and admission order.
   ReleaseServer(service::ReleaseService& service, ServerConfig config);
   ~ReleaseServer();
 

@@ -33,9 +33,9 @@
 //
 // Thread safety: every operation locks its shard, so concurrent use is
 // safe. Determinism of the hit/miss/eviction counters, however, is the
-// caller's job: ReleaseService probes and inserts serially in request
-// order (only the aggregate *computation* is parallel), which makes the
-// counters and the eviction sequence bit-identical for any --threads.
+// caller's job: a sequential ReleaseService caller probes and inserts in
+// request order, which makes the counters and the eviction sequence a
+// pure function of the trace.
 #pragma once
 
 #include <atomic>
@@ -77,8 +77,8 @@ struct ReleaseCacheKey {
                          const ReleaseCacheKey&) = default;
 };
 
-/// Monotone counters; under ReleaseService's serial probe order they are
-/// bit-identical for any thread count.
+/// Monotone counters; under a sequential ReleaseService caller they are a
+/// pure function of the trace.
 struct ReleaseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  ///< insertions (== distinct keys computed)

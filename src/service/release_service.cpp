@@ -2,10 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "common/parallel.h"
 #include "dp/mechanisms.h"
 #include "obs/metrics.h"
 
@@ -13,18 +11,11 @@ namespace poiprivacy::service {
 
 namespace {
 
-/// Fixed chunk sizes (never derived from the thread count, per the
-/// determinism conventions of DESIGN.md 4d).
-constexpr std::size_t kCloakChunk = 8;
-constexpr std::size_t kComputeChunk = 1;
-
-constexpr std::size_t kNotMissing = static_cast<std::size_t>(-1);
-
-/// The one request check of the batch and per-request paths: a known
-/// policy, finite coordinates, a finite radius in (0, diagonal of the
-/// city's bounding box], and a query disk that touches the box. Nothing
-/// else is a real query, and an unbounded radius would reach the
-/// double -> int cell casts of the spatial index.
+/// The one request check of serve_concurrent: a known policy, finite
+/// coordinates, a finite radius in (0, diagonal of the city's bounding
+/// box], and a query disk that touches the box. Nothing else is a real
+/// query, and an unbounded radius would reach the double -> int cell
+/// casts of the spatial index.
 bool valid_request(const ReleaseRequest& request, std::size_t num_policies,
                    const geo::BBox& bounds) {
   const double r = request.radius;
@@ -34,14 +25,7 @@ bool valid_request(const ReleaseRequest& request, std::size_t num_policies,
          bounds.intersects_disk(request.location, r);
 }
 
-struct KeyHash {
-  std::size_t operator()(const ReleaseCacheKey& key) const noexcept {
-    return static_cast<std::size_t>(ReleaseCache::hash(key));
-  }
-};
-
-/// Registry mirrors of the deterministic ServiceStats counters plus the
-/// per-phase wall-clock of the 6-phase batch pipeline. Observation only:
+/// Registry mirrors of the ServiceStats counters. Observation only:
 /// nothing here feeds back into admission, caching, or released vectors
 /// (tests/obs_determinism_test.cpp).
 struct ServiceMetrics {
@@ -52,14 +36,6 @@ struct ServiceMetrics {
   obs::Counter& invalid;
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
-  obs::Counter& batches;
-  obs::Histogram& batch_seconds;
-  obs::Histogram& admission_seconds;
-  obs::Histogram& cloak_seconds;
-  obs::Histogram& probe_seconds;
-  obs::Histogram& compute_seconds;
-  obs::Histogram& insert_seconds;
-  obs::Histogram& noise_seconds;
 
   static ServiceMetrics& get() {
     obs::Registry& reg = obs::global_registry();
@@ -71,14 +47,6 @@ struct ServiceMetrics {
         reg.counter("service.invalid"),
         reg.counter("service.cache_hits"),
         reg.counter("service.cache_misses"),
-        reg.counter("service.batches"),
-        reg.histogram("service.batch_seconds"),
-        reg.histogram("service.phase.admission_seconds"),
-        reg.histogram("service.phase.cloak_seconds"),
-        reg.histogram("service.phase.cache_probe_seconds"),
-        reg.histogram("service.phase.compute_seconds"),
-        reg.histogram("service.phase.cache_insert_seconds"),
-        reg.histogram("service.phase.noise_seconds"),
     };
     return *metrics;
   }
@@ -101,11 +69,7 @@ auto& status_slot(Stats& stats, ReleaseStatus status) noexcept {
   return stats.invalid;
 }
 
-/// One count into a deterministic stat and its registry mirror.
-void bump(std::uint64_t& stat, obs::Counter& mirror) {
-  ++stat;
-  mirror.add(1);
-}
+/// One count into a service counter and its registry mirror.
 void bump(std::atomic<std::uint64_t>& stat, obs::Counter& mirror) {
   stat.fetch_add(1, std::memory_order_relaxed);
   mirror.add(1);
@@ -169,7 +133,6 @@ ReleaseService::ReleaseService(const poi::PoiDatabase& db,
       *config_.degrade_policy >= config_.policies.size()) {
     throw std::invalid_argument("service: degrade_policy out of range");
   }
-  if (config_.max_batch == 0) config_.max_batch = 1;
 }
 
 ReleaseStatus ReleaseService::admit(UserId user, PolicyId requested,
@@ -232,173 +195,14 @@ defense::CloakAggregate ReleaseService::compute_aggregate(
   return defense::fold_dummies(*db_, dummies, key.radius);
 }
 
-struct ReleaseService::Admitted {
-  std::size_t index = 0;  ///< position in the batch
-  PolicyId policy = 0;
-  std::uint64_t noise_index = 0;
-  ReleaseCacheKey key;
-  std::shared_ptr<const defense::CloakAggregate> aggregate;
-  std::size_t missing_slot = kNotMissing;
-  bool cache_hit = false;  ///< resident, or coalesced onto a batch peer
-};
-
-void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
-                                 std::vector<ReleaseResult>& results) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
-  const obs::Span batch_span(metrics.batch_seconds);
-  const std::size_t base = results.size();
-  results.resize(base + requests.size());
-  std::vector<Admitted> admitted;
-  admitted.reserve(requests.size());
-
-  // Phase A — admission, serial in request order. Budget accounting is a
-  // fold over each user's history; the served policy is charged here so
-  // later same-user requests in this batch see the updated budget.
-  obs::Span admission_span(metrics.admission_seconds);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ReleaseRequest& request = requests[i];
-    ReleaseResult& out = results[base + i];
-    const std::uint64_t noise_index =
-        next_request_index_.fetch_add(1, std::memory_order_relaxed);
-    bump(stats_.requests, metrics.requests);
-    if (!valid_request(request, config_.policies.size(), db_->bounds())) {
-      bump_status(stats_, ReleaseStatus::kInvalidRequest);
-      continue;  // `out` stays a spend-nothing kInvalidRequest
-    }
-    const bool known = sessions_.contains(request.user_id);
-    out.status = admit(request.user_id, request.policy, out.served_policy);
-    // try_charge claims the session even when it refuses on budget, so a
-    // first contact counts as a user unless the table was full.
-    if (!known && sessions_.contains(request.user_id)) ++stats_.users;
-    out.spent = sessions_.spent(request.user_id);
-    bump_status(stats_, out.status);
-    if (out.status == ReleaseStatus::kBudgetExhausted) continue;
-    Admitted a;
-    a.index = i;
-    a.policy = out.served_policy;
-    a.noise_index = noise_index;
-    admitted.push_back(std::move(a));
-  }
-  admission_span.stop();
-
-  common::ThreadPool& pool = common::global_pool();
-
-  // Phase B — cloak each admitted request (read-only, parallel).
-  obs::Span cloak_span(metrics.cloak_seconds);
-  common::parallel_for_each(pool, admitted.size(), kCloakChunk,
-                            [&](std::size_t j) {
-                              Admitted& a = admitted[j];
-                              const ReleaseRequest& request =
-                                  requests[a.index];
-                              a.key.region =
-                                  cloaker_
-                                      ->cloak(request.location,
-                                              config_.policies[a.policy]
-                                                  .release.k)
-                                      .region;
-                              a.key.radius = request.radius;
-                              a.key.policy = a.policy;
-                            });
-  cloak_span.stop();
-
-  // Phase C — cache probe, serial in request order so LRU motion and the
-  // counters are scheduling-independent. Requests sharing a cold key
-  // within the batch coalesce onto one computation and count as hits.
-  obs::Span probe_span(metrics.probe_seconds);
-  std::vector<ReleaseCacheKey> missing;
-  std::unordered_map<ReleaseCacheKey, std::size_t, KeyHash> pending;
-  for (Admitted& a : admitted) {
-    if (auto hit = cache_.get(a.key)) {
-      a.aggregate = std::move(hit);
-      a.cache_hit = true;
-      bump(stats_.cache_hits, metrics.cache_hits);
-      continue;
-    }
-    if (const auto it = pending.find(a.key); it != pending.end()) {
-      a.missing_slot = it->second;
-      a.cache_hit = true;
-      bump(stats_.cache_hits, metrics.cache_hits);
-      continue;
-    }
-    a.missing_slot = missing.size();
-    pending.emplace(a.key, missing.size());
-    missing.push_back(a.key);
-    bump(stats_.cache_misses, metrics.cache_misses);
-  }
-  probe_span.stop();
-
-  // Phase D — compute the missing aggregates (parallel, the expensive
-  // part: k range queries per key).
-  obs::Span compute_span(metrics.compute_seconds);
-  std::vector<std::shared_ptr<const defense::CloakAggregate>> computed(
-      missing.size());
-  common::parallel_for_each(
-      pool, missing.size(), kComputeChunk, [&](std::size_t j) {
-        computed[j] = std::make_shared<const defense::CloakAggregate>(
-            compute_aggregate(missing[j]));
-      });
-  compute_span.stop();
-
-  // Phase E — insert in first-miss order (deterministic evictions) and
-  // resolve the coalesced requests.
-  obs::Span insert_span(metrics.insert_seconds);
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    cache_.put(missing[j], computed[j]);
-  }
-  for (Admitted& a : admitted) {
-    if (a.missing_slot != kNotMissing) a.aggregate = computed[a.missing_slot];
-  }
-  insert_span.stop();
-
-  // Phase F — per-request noise + Eq. (9) post-processing (parallel;
-  // request i draws from substream(i) regardless of thread or order).
-  obs::Span noise_span(metrics.noise_seconds);
-  common::parallel_for_each(
-      pool, admitted.size(), kComputeChunk, [&](std::size_t j) {
-        const Admitted& a = admitted[j];
-        const defense::DpDefenseConfig& policy =
-            config_.policies[a.policy].release;
-        common::Rng rng = noise_base_.substream(a.noise_index);
-        ReleaseResult& out = results[base + a.index];
-        out.vector = defense::postprocess_release(
-            *db_, defense::noise_aggregate(policy, *a.aggregate, rng),
-            policy.beta, policy.max_injection);
-        out.cache_hit = a.cache_hit;
-      });
-  noise_span.stop();
-
-  bump(stats_.batches, metrics.batches);
-}
-
-void ReleaseService::drain_queue() {
-  const std::size_t n = std::min(queue_.size(), config_.max_batch);
-  std::vector<ReleaseRequest> batch(queue_.begin(),
-                                    queue_.begin() + static_cast<std::ptrdiff_t>(n));
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(n));
-  serve_batch(batch, collected_);
-}
-
-void ReleaseService::enqueue(const ReleaseRequest& request) {
-  queue_.push_back(request);
-  if (queue_.size() >= config_.max_batch) drain_queue();
-}
-
-std::vector<ReleaseResult> ReleaseService::flush() {
-  while (!queue_.empty()) drain_queue();
-  return std::exchange(collected_, {});
-}
-
 std::vector<ReleaseResult> ReleaseService::serve(
     std::span<const ReleaseRequest> requests) {
-  if (!queue_.empty() || !collected_.empty()) {
-    throw std::logic_error("service: serve() with requests pending");
+  std::vector<ReleaseResult> results;
+  results.reserve(requests.size());
+  for (const ReleaseRequest& request : requests) {
+    results.push_back(serve_concurrent(request));
   }
-  for (const ReleaseRequest& request : requests) enqueue(request);
-  return flush();
-}
-
-ReleaseResult ReleaseService::serve_one(const ReleaseRequest& request) {
-  return std::move(serve({&request, 1}).front());
+  return results;
 }
 
 ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
@@ -484,8 +288,8 @@ ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
   ServiceMetrics& metrics = ServiceMetrics::get();
   ReleaseResult out;
   // The arrival order that wins this fetch_add IS the request's identity
-  // for noise purposes — a sequential caller reproduces the batch path's
-  // substream assignment exactly.
+  // for noise purposes — a sequential caller's substream assignment is
+  // exactly its call order.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
   bump(concurrent_.requests, metrics.requests);

@@ -10,9 +10,9 @@
 //     admission charges are lock-free on the hot path (one CAS on a
 //     fixed-point dp::AtomicBudgetMeter word per request — the serving
 //     meter, never looser than the exact dp::Ledger, see dp/budget.h);
-//   * one request validator for both serving paths: a known policy,
-//     finite coordinates, a finite radius in (0, diagonal of the city's
-//     bounding box], and a query disk that touches the box;
+//   * one request validator: a known policy, finite coordinates, a
+//     finite radius in (0, diagonal of the city's bounding box], and a
+//     query disk that touches the box;
 //   * admission control: a request whose composed (eps, delta) would
 //     exceed the ceiling is degraded to a cheaper policy (if configured)
 //     or refused with a typed ReleaseStatus — never an exception;
@@ -21,37 +21,30 @@
 //     (release_cache.h); the aggregate is defense::fold_dummies and the
 //     noise defense::noise_aggregate — the same Eq. (8) code DpDefense
 //     runs;
-//   * two serving paths over the same state:
-//       - the deterministic batch path: enqueue() fills a bounded queue
-//         that drains onto the common/parallel thread pool in 6 phases;
-//       - serve_concurrent(): a thread-safe per-request path for the
-//         socket front-end (src/net), where many worker threads admit
-//         and release concurrently.
+//   * one serving path, serve_concurrent(): thread-safe per request, so
+//     the socket front-end (src/net) calls it from many worker threads
+//     at once and serve() is a plain loop of it on the calling thread.
 //
-// Determinism contract for the batch path (the same one the eval runners
-// honour): statuses, released vectors and every counter are bit-identical
-// for any --threads. Four mechanisms make it hold:
-//   1. admission runs serially in request order (the session table is a
-//      pure function of the charge sequence);
-//   2. cache probes/inserts run serially in request order, so LRU motion
-//      and hit/miss/eviction counters never depend on scheduling — only
-//      the aggregate computation and the per-request noise fan out;
-//   3. noise for request number i (a process-lifetime counter) draws from
-//      Rng(seed).substream(i), a pure function of (seed, i);
-//   4. a cached aggregate is a pure function of its key — its dummy draw
+// Determinism contract for a sequential caller (serve(), or one
+// connection issuing requests one after another): statuses, released
+// vectors and every counter are a pure function of the call sequence,
+// whatever --threads is. Three mechanisms make it hold:
+//   1. admission charges the user's session in call order (the session
+//      table is a pure function of the charge sequence);
+//   2. noise for request number i (a process-lifetime counter, taken
+//      in arrival order) draws from Rng(seed).substream(i), a pure
+//      function of (seed, i);
+//   3. a cached aggregate is a pure function of its key — its dummy draw
 //      seeds from the key hash — so cache capacity (hence eviction) can
 //      change which work is *recomputed* but never a released vector.
-// serve_concurrent() keeps 3 and 4 (vectors depend only on the arrival
-// order that assigns noise indices) but runs admission lock-free, so a
-// single connection issuing requests sequentially reproduces the batch
-// path bit-for-bit while concurrent connections remain merely
-// linearizable. The two paths share the session table and cache but
-// keep separate stats (stats() vs concurrent_stats()); interleaving
-// them forfeits the batch path's replay determinism, nothing else.
+// Concurrent callers keep 2 and 3 (vectors depend only on the arrival
+// order that assigns noise indices) and stay linearizable: admission is
+// lock-free, and two concurrent cold probes of one key both count a
+// cache miss and both compute the (identical) aggregate.
 //
 // Eviction and renewal: advance_epoch() ticks the session table's and
 // the cache's logical clocks, runs their sweeps, and renews windowed
-// budgets. Cache expiry never changes a released vector (see 4);
+// budgets. Cache expiry never changes a released vector (see 3);
 // session expiry RENEWS the user's budget on next contact, and — when
 // session_renew_epochs is set — every resident budget renews when the
 // epoch clock crosses an accounting-window boundary (w-event renewal,
@@ -76,7 +69,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -175,17 +167,15 @@ struct ServiceConfig {
   /// resident session budget when the clock crosses a window boundary
   /// (0 = budgets never renew; ceilings bound the session lifetime).
   std::uint64_t session_renew_epochs = 0;
-  /// Bounded queue: enqueue() drains a batch once this many are pending.
-  std::size_t max_batch = 256;
   /// Master seed for noise substreams and canonical dummy draws.
   std::uint64_t seed = 1234;
 };
 
-/// Deterministic service counters (every batch-path field bit-identical
-/// for any thread count). Cache hits/misses are the *effective* ones — a
-/// request whose key another request in the same batch is already
-/// computing counts as a hit; misses therefore equal aggregates actually
-/// computed.
+/// Service counters (concurrent_stats()); for a sequential caller a pure
+/// function of the call sequence. A cache hit is a request served from a
+/// resident aggregate and a miss one that computed it, so misses equal
+/// aggregates computed: two concurrent cold probes of one key both count
+/// a miss.
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t granted = 0;
@@ -194,7 +184,6 @@ struct ServiceStats {
   std::uint64_t invalid = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;
   std::uint64_t users = 0;  ///< sessions created so far
 
   std::uint64_t count(ReleaseStatus status) const noexcept;
@@ -216,26 +205,16 @@ class ReleaseService {
                  const cloak::AdaptiveIntervalCloaker& cloaker,
                  ServiceConfig config);
 
-  /// Queues one request; when max_batch are pending the queue drains onto
-  /// the thread pool and the batch's results are collected for flush().
-  void enqueue(const ReleaseRequest& request);
-
-  /// Drains the remaining queue and returns every result collected since
-  /// the last flush, in enqueue order.
-  std::vector<ReleaseResult> flush();
-
-  /// enqueue() + flush() over a whole trace. Requires no pending
-  /// requests from a previous partial enqueue.
+  /// Serves a trace in order on the calling thread, one
+  /// serve_concurrent() per request; the results come back in order.
   std::vector<ReleaseResult> serve(std::span<const ReleaseRequest> requests);
 
-  /// Convenience single-request path (a batch of one); same requirement.
-  ReleaseResult serve_one(const ReleaseRequest& request);
-
-  /// Thread-safe per-request path for the socket front-end: lock-free
-  /// admission, shared cache, per-arrival noise substreams. Safe to call
-  /// from many threads at once; counts into concurrent_stats(). No batch
-  /// coalescing — concurrent cold probes of one key may compute the
-  /// (identical, key-pure) aggregate more than once.
+  /// Serves one request: validation, admission, cloak, cache probe (and
+  /// on a miss the aggregate compute and insert), then per-arrival noise
+  /// and Eq. (9) post-processing. Safe to call from many threads at once
+  /// (lock-free admission, sharded cache). No coalescing: concurrent cold
+  /// probes of one key each count a miss and compute the (identical,
+  /// key-pure) aggregate.
   ReleaseResult serve_concurrent(const ReleaseRequest& request);
 
   /// Serves one continual-release stream request (thread-safe, counts
@@ -254,19 +233,16 @@ class ReleaseService {
     return stream_source_;
   }
 
-  std::size_t pending() const noexcept { return queue_.size(); }
-
   /// Ticks the session-table and release-cache epoch clocks and runs
   /// both sweeps. Deterministic given the call sequence; the owner
-  /// drives it (batch boundaries, a wall-clock ticker, ...).
+  /// drives it (between traces, a wall-clock ticker, ...).
   void advance_epoch(std::uint64_t ticks = 1);
 
-  const ServiceStats& stats() const noexcept { return stats_; }
-  /// Counters of the serve_concurrent path (atomic snapshot; `users`
-  /// reports table sessions created, `batches` is always 0).
+  /// The service counters (atomic snapshot; `users` reports table
+  /// sessions created).
   ServiceStats concurrent_stats() const;
   /// Raw cache counters (insertions/evictions/residency). The service
-  /// stats' hits/misses are the effective per-request ones.
+  /// stats' hits/misses are the per-request probe outcomes.
   ReleaseCacheStats cache_stats() const { return cache_.stats(); }
   SessionTableStats session_stats() const { return sessions_.stats(); }
 
@@ -279,7 +255,6 @@ class ReleaseService {
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:
-  struct Admitted;
   struct ConcurrentCounters {
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> granted{0};
@@ -290,14 +265,11 @@ class ReleaseService {
     std::atomic<std::uint64_t> cache_misses{0};
   };
 
-  /// The admission decision shared by both serving paths: try the
-  /// requested policy, fall back to the degrade policy, else refuse.
+  /// The admission decision of a classic request: try the requested
+  /// policy, fall back to the degrade policy, else refuse.
   /// Returns the status and fills `served` on grant/degrade.
   ReleaseStatus admit(UserId user, PolicyId requested, PolicyId& served);
 
-  void serve_batch(std::span<const ReleaseRequest> requests,
-                   std::vector<ReleaseResult>& results);
-  void drain_queue();
   defense::CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
 
   const poi::PoiDatabase* db_;
@@ -307,9 +279,6 @@ class ReleaseService {
   std::vector<dp::FixedBudget> policy_costs_;  ///< quantized, by PolicyId
   ReleaseCache cache_;
   SessionTable sessions_;
-  std::deque<ReleaseRequest> queue_;
-  std::vector<ReleaseResult> collected_;
-  ServiceStats stats_;
   ConcurrentCounters concurrent_;
   std::atomic<std::uint64_t> next_request_index_{0};  ///< noise substreams
   common::Rng noise_base_;

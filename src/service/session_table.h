@@ -13,10 +13,10 @@
 // contact of a new user (once per user per lifetime) and the TTL sweep.
 //
 // Eviction and renewal: the table has a logical epoch, advanced by its
-// owner (the service ticks it from batch boundaries; the TCP front-end
-// from its accept loop). Every admission touches the session's
-// last-touch epoch; sweep() reclaims sessions idle for at least
-// `ttl_epochs` — the evicted user's budget RENEWS on next contact
+// owner (the service's advance_epoch(), which a test calls between
+// traces and the TCP daemon from its tick loop). Every admission touches
+// the session's last-touch epoch; sweep() reclaims sessions idle for at
+// least `ttl_epochs` — the evicted user's budget RENEWS on next contact
 // (ttl_epochs = 0 disables eviction and restores the unbounded per-user
 // guarantee). Reclaimed slots become tombstones so concurrent lock-free
 // probes stay correct; tombstones are recycled by later inserts under
@@ -37,7 +37,7 @@
 // capacity * sizeof(Slot) regardless of how many distinct user ids a
 // million-user day produces; TTL sweeps recycle the slots.
 //
-// Determinism: driven single-threaded (the batch path's Phase A), every
+// Determinism: driven single-threaded (a sequential serve()), every
 // operation — including sweep order, which walks shards and slots in
 // index order — is a pure function of the call sequence, so released
 // vectors stay bit-identical at --threads 1/2/8. Driven concurrently

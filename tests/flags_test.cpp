@@ -113,5 +113,22 @@ TEST(FlagValues, ThreadsOutOfRangeThrowsAndLeavesTheDefault) {
   }
 }
 
+TEST(RunMain, HelpSkipsTheBodyAndBadValuesExit2) {
+  int runs = 0;
+  const auto body = [&](const common::Flags& flags) {
+    ++runs;
+    return static_cast<int>(flags.get("seed", std::int64_t{0}));
+  };
+  const char* ok[] = {"prog", "--seed", "7"};
+  EXPECT_EQ(common::run_main(3, ok, {"seed"}, body), 7);
+  const char* help[] = {"prog", "--help"};
+  EXPECT_EQ(common::run_main(2, help, {"seed"}, body), 0);
+  const char* garbage[] = {"prog", "--seed", "banana"};
+  EXPECT_EQ(common::run_main(3, garbage, {"seed"}, body), 2);
+  const char* unknown[] = {"prog", "--sed", "7"};
+  EXPECT_EQ(common::run_main(3, unknown, {"seed"}, body), 2);
+  EXPECT_EQ(runs, 2);  // --help and the unknown flag never reach the body
+}
+
 }  // namespace
 }  // namespace poiprivacy::eval

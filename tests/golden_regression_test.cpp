@@ -193,19 +193,20 @@ TEST(GoldenRegression, ServiceReleaseVectors) {
       service::requests_of(service::generate_workload(city, workload));
   ASSERT_EQ(trace.size(), 30u);
 
-  // The batch path.
-  ResultDigest batch;
+  // A whole trace through serve().
+  ResultDigest served;
   {
     service::ReleaseService gsp(city.db, cloaker, config);
-    for (const auto& result : gsp.serve(trace)) batch.add(result);
-    EXPECT_EQ(gsp.stats().granted, 25u);
-    EXPECT_EQ(gsp.stats().degraded, 2u);
-    EXPECT_EQ(gsp.stats().budget_exhausted, 3u);
-    EXPECT_EQ(gsp.stats().cache_hits, 2u);
+    for (const auto& result : gsp.serve(trace)) served.add(result);
+    const service::ServiceStats stats = gsp.concurrent_stats();
+    EXPECT_EQ(stats.granted, 25u);
+    EXPECT_EQ(stats.degraded, 2u);
+    EXPECT_EQ(stats.budget_exhausted, 3u);
+    EXPECT_EQ(stats.cache_hits, 2u);
   }
-  EXPECT_EQ(batch.value(), 16566293950369913810ull);
+  EXPECT_EQ(served.value(), 16566293950369913810ull);
 
-  // The per-request path, driven sequentially.
+  // The same trace, one serve_concurrent() call at a time.
   ResultDigest concurrent;
   {
     service::ReleaseService gsp(city.db, cloaker, config);

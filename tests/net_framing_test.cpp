@@ -1,10 +1,11 @@
 // Wire-format contracts of the socket front-end (src/net): codec
 // round-trips, rejection of every malformed-frame shape (truncated
 // header, truncated body, oversized length, zero-length body, stray
-// status bytes), robustness to partial reads — a loopback smoke
-// proving a released vector that crosses the TCP boundary is
-// byte-identical to one produced by the in-process batch path, and the
-// server's batched frame I/O under bursts, bad frames, EOFs and drips.
+// status bytes), robustness to partial reads — loopback smokes proving
+// a released vector (and every counter) that crosses the TCP boundary is
+// byte-identical to one produced by an in-process serve() on a twin
+// service, and the server's batched frame I/O under bursts, bad frames,
+// EOFs and drips.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -237,16 +238,9 @@ TEST_F(FramePipe, RefusesOversizedAnnouncedLength) {
             net::FrameIo::kTooLarge);
 }
 
-/// Loopback smoke: the full stack (service -> server -> TCP -> client)
-/// returns byte-identical vectors to the in-process batch path. One
-/// sequential connection consumes noise indices 0..n-1 in request
-/// order, exactly like one serve() call on a twin service.
-TEST(NetLoopback, TcpReleasesMatchInProcessByteForByte) {
-  const poi::City city = poi::generate_city(poi::test_preset(), 7);
-  common::Rng pop_rng(3);
-  const cloak::AdaptiveIntervalCloaker cloaker(
-      cloak::uniform_population(city.db.bounds(), 500, pop_rng),
-      city.db.bounds());
+/// The classic-request twins of the loopback smokes: one policy pair,
+/// one city, one cloaker.
+service::ServiceConfig twin_config() {
   service::ServiceConfig config;
   config.policies.push_back(
       {"precise", {.k = 8, .epsilon = 1.0, .delta = 0.05}});
@@ -256,19 +250,19 @@ TEST(NetLoopback, TcpReleasesMatchInProcessByteForByte) {
   config.epsilon_ceiling = 3.5;
   config.delta_ceiling = 1.0;
   config.seed = 99;
+  return config;
+}
 
-  service::WorkloadConfig workload;
-  workload.num_users = 5;
-  workload.requests_per_user = 6;
-  workload.seed = 11;
-  const std::vector<service::ReleaseRequest> trace =
-      service::requests_of(service::generate_workload(city, workload));
-
-  // Twin A: the deterministic in-process batch path.
+/// Serves `trace` in process through serve() on one service and over one
+/// sequential TCP connection on an identical twin, and expects every
+/// result (cache_hit included) and every service counter to agree.
+void expect_wire_matches_serve(
+    const poi::City& city, const cloak::AdaptiveIntervalCloaker& cloaker,
+    const service::ServiceConfig& config,
+    const std::vector<service::ReleaseRequest>& trace) {
   service::ReleaseService inproc(city.db, cloaker, config);
   const std::vector<service::ReleaseResult> expected = inproc.serve(trace);
 
-  // Twin B: identical service behind the TCP front-end.
   service::ReleaseService served(city.db, cloaker, config);
   net::ReleaseServer server(served, net::ServerConfig{});
   server.start();
@@ -284,12 +278,56 @@ TEST(NetLoopback, TcpReleasesMatchInProcessByteForByte) {
 
   EXPECT_EQ(server.stats().frames_served, trace.size());
   EXPECT_EQ(server.stats().protocol_errors, 0u);
-  // Both twins saw the same admission history.
-  const service::ServiceStats batch = inproc.stats();
-  const service::ServiceStats wire = served.concurrent_stats();
-  EXPECT_EQ(wire.granted, batch.granted);
-  EXPECT_EQ(wire.degraded, batch.degraded);
-  EXPECT_EQ(wire.budget_exhausted, batch.budget_exhausted);
+  EXPECT_EQ(served.concurrent_stats(), inproc.concurrent_stats());
+  EXPECT_EQ(served.cache_stats(), inproc.cache_stats());
+}
+
+/// Loopback smoke: the full stack (service -> server -> TCP -> client)
+/// returns byte-identical vectors to an in-process serve(). One
+/// sequential connection consumes noise indices 0..n-1 in request
+/// order, exactly like one serve() call on a twin service.
+TEST(NetLoopback, TcpReleasesMatchInProcessByteForByte) {
+  const poi::City city = poi::generate_city(poi::test_preset(), 7);
+  common::Rng pop_rng(3);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(city.db.bounds(), 500, pop_rng),
+      city.db.bounds());
+  service::WorkloadConfig workload;
+  workload.num_users = 5;
+  workload.requests_per_user = 6;
+  workload.seed = 11;
+  expect_wire_matches_serve(
+      city, cloaker, twin_config(),
+      service::requests_of(service::generate_workload(city, workload)));
+}
+
+/// The cache counters mean the same on both sides of the socket: under a
+/// 1-entry cache a trace that keeps coming back to evicted keys misses
+/// on each return, in process as over the wire, and every cache_hit
+/// flag and counter agrees.
+TEST(NetLoopback, TinyCacheHitsAndMissesMatchInProcess) {
+  const poi::City city = poi::generate_city(poi::test_preset(), 7);
+  common::Rng pop_rng(3);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(city.db.bounds(), 500, pop_rng),
+      city.db.bounds());
+  service::ServiceConfig config = twin_config();
+  config.cache_capacity = 1;
+  config.epsilon_ceiling = 100.0;  // every request reaches the cache
+  // Two keys (one location, two radii) visited A B A B A A B B by four
+  // users: returns after an eviction miss, back-to-back repeats hit.
+  const geo::Point here{4.0, 4.0};
+  std::vector<service::ReleaseRequest> trace;
+  const double radii[] = {1.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 2.0};
+  for (std::size_t i = 0; i < std::size(radii); ++i) {
+    trace.push_back({i % 4, here, radii[i], 0});
+  }
+  expect_wire_matches_serve(city, cloaker, config, trace);
+
+  service::ReleaseService alone(city.db, cloaker, config);
+  alone.serve(trace);
+  EXPECT_EQ(alone.concurrent_stats().cache_hits, 2u);
+  EXPECT_EQ(alone.concurrent_stats().cache_misses, 6u);
 }
 
 /// Continual-release requests cross the same socket: a mixed classic /

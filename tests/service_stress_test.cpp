@@ -104,6 +104,12 @@ TEST(ServiceStress, ConcurrentAdmissionConservesAndNeverOverspends) {
   // Cache accounting covers every released vector exactly once.
   EXPECT_EQ(stats.cache_hits + stats.cache_misses,
             stats.granted + stats.degraded);
+  // The default capacity holds every key this trace produces, so each
+  // resident entry was computed by at least one miss. Not equality: two
+  // concurrent cold probes of one key both count a miss (no coalescing).
+  const service::ReleaseCacheStats cache = gsp.cache_stats();
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_GE(stats.cache_misses, cache.entries);
 
   // Post-mortem per-user audit: the final ledger respects the ceiling,
   // and the whole shared population was admitted at least once.

@@ -1,6 +1,6 @@
 // The serving layer's contracts: typed admission (grant -> degrade ->
 // refuse, never an exception), deterministic release-cache counters,
-// bit-identical output for any --threads / batch size / cache capacity,
+// bit-identical output for any --threads / cache capacity,
 // and the workload generator's per-user substream stability.
 #include <gtest/gtest.h>
 
@@ -140,7 +140,7 @@ TEST(ReleaseService, BudgetExhaustionOrdering) {
   EXPECT_NEAR(gsp.user_spent(42).epsilon, 3.5, 1e-12);
   EXPECT_DOUBLE_EQ(gsp.user_remaining(42).epsilon, 0.0);
 
-  const service::ServiceStats& stats = gsp.stats();
+  const service::ServiceStats stats = gsp.concurrent_stats();
   EXPECT_EQ(stats.requests, 7u);
   EXPECT_EQ(stats.granted, 3u);
   EXPECT_EQ(stats.degraded, 2u);
@@ -175,22 +175,20 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
   service::ReleaseService gsp(city.db, cloaker, two_policy_config());
 
   const service::ReleaseResult bad_policy =
-      gsp.serve_one({1, {4.0, 4.0}, 1.0, 9});
+      gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 9});
   EXPECT_EQ(bad_policy.status, service::ReleaseStatus::kInvalidRequest);
   EXPECT_TRUE(bad_policy.vector.empty());
   EXPECT_DOUBLE_EQ(bad_policy.spent.epsilon, 0.0);
   EXPECT_DOUBLE_EQ(bad_policy.spent.delta, 0.0);
 
   const service::ReleaseResult bad_radius =
-      gsp.serve_one({1, {4.0, 4.0}, 0.0, 0});
+      gsp.serve_concurrent({1, {4.0, 4.0}, 0.0, 0});
   EXPECT_EQ(bad_radius.status, service::ReleaseStatus::kInvalidRequest);
 
   // Invalid requests never create a session or spend budget.
   EXPECT_EQ(gsp.num_users(), 0u);
-  EXPECT_EQ(gsp.stats().invalid, 2u);
 
-  // Hostile values are refused by one check on both serving paths:
-  // non-finite coordinates or radius, a radius beyond the city's
+  // Hostile values are refused by the one request check: non-finite coordinates or radius, a radius beyond the city's
   // diagonal, and a query disk that misses the city altogether.
   const geo::BBox& box = city.db.bounds();
   const double inf = std::numeric_limits<double>::infinity();
@@ -211,28 +209,25 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
       {2, {1e9, 1e9}, 1.0, 1},
   };
   for (const service::ReleaseRequest& request : hostile) {
-    const service::ReleaseResult batch = gsp.serve_one(request);
-    const service::ReleaseResult direct = gsp.serve_concurrent(request);
-    for (const service::ReleaseResult* result : {&batch, &direct}) {
-      EXPECT_EQ(result->status, service::ReleaseStatus::kInvalidRequest)
-          << request.location.x << "," << request.location.y << " r "
-          << request.radius;
-      EXPECT_TRUE(result->vector.empty());
-    }
+    const service::ReleaseResult result = gsp.serve_concurrent(request);
+    EXPECT_EQ(result.status, service::ReleaseStatus::kInvalidRequest)
+        << request.location.x << "," << request.location.y << " r "
+        << request.radius;
+    EXPECT_TRUE(result.vector.empty());
     EXPECT_EQ(gsp.num_users(), 0u);
     EXPECT_DOUBLE_EQ(gsp.user_spent(2).epsilon, 0.0);
     EXPECT_DOUBLE_EQ(gsp.user_spent(2).delta, 0.0);
   }
-  EXPECT_EQ(gsp.stats().invalid, 2u + std::size(hostile));
-  EXPECT_EQ(gsp.concurrent_stats().invalid, std::size(hostile));
+  EXPECT_EQ(gsp.concurrent_stats().invalid, 2u + std::size(hostile));
 
   // A corner of the bounding box, or a disk that only reaches into it,
   // is still a real query.
-  EXPECT_EQ(gsp.serve_one({3, {box.min_x, box.min_y}, 1.0, 0}).status,
+  EXPECT_EQ(gsp.serve_concurrent({3, {box.min_x, box.min_y}, 1.0, 0}).status,
             service::ReleaseStatus::kGranted);
   EXPECT_EQ(gsp.serve_concurrent({4, {box.max_x, box.max_y}, 1.0, 0}).status,
             service::ReleaseStatus::kGranted);
-  EXPECT_EQ(gsp.serve_one({5, {box.max_x + 0.5, box.min_y}, 1.0, 0}).status,
+  EXPECT_EQ(
+      gsp.serve_concurrent({5, {box.max_x + 0.5, box.min_y}, 1.0, 0}).status,
             service::ReleaseStatus::kGranted);
   EXPECT_EQ(gsp.serve_concurrent({6, inside, diagonal, 0}).status,
             service::ReleaseStatus::kGranted);
@@ -251,7 +246,8 @@ TEST(ReleaseService, CacheHitsAreDeterministic) {
         {1, {4.0, 4.0}, 1.0, 0},
         {2, {4.0, 4.0}, 1.0, 0},
     };
-    return std::make_pair(gsp.serve(trace), gsp.stats());
+    const auto results = gsp.serve(trace);
+    return std::make_pair(results, gsp.concurrent_stats());
   };
 
   const auto [results, stats] = run();
@@ -280,15 +276,25 @@ TEST(ReleaseService, CacheCapacityNeverChangesReleases) {
     config.epsilon_ceiling = 100.0;  // admission out of the picture
     config.cache_capacity = capacity;
     service::ReleaseService gsp(city.db, cloaker, config);
-    return gsp.serve(trace);
+    const auto results = gsp.serve(trace);
+    return std::make_pair(results, gsp.concurrent_stats());
   };
 
   // A cached aggregate is a pure function of its key, so shrinking the
   // cache to almost nothing changes recomputation counts only — every
-  // released vector must stay bit-identical.
-  const auto roomy = run(4096);
-  const auto tiny = run(1);
-  EXPECT_EQ(tiny, roomy);
+  // released vector must stay bit-identical. The hit flags differ: a
+  // 1-entry cache really does miss more.
+  const auto [roomy, roomy_stats] = run(4096);
+  const auto [tiny, tiny_stats] = run(1);
+  ASSERT_EQ(tiny.size(), roomy.size());
+  for (std::size_t i = 0; i < tiny.size(); ++i) {
+    EXPECT_EQ(tiny[i].status, roomy[i].status) << "request " << i;
+    EXPECT_EQ(tiny[i].served_policy, roomy[i].served_policy) << "request " << i;
+    EXPECT_EQ(tiny[i].vector, roomy[i].vector) << "request " << i;
+    EXPECT_EQ(tiny[i].spent.epsilon, roomy[i].spent.epsilon) << "request " << i;
+    EXPECT_EQ(tiny[i].spent.delta, roomy[i].spent.delta) << "request " << i;
+  }
+  EXPECT_GT(tiny_stats.cache_misses, roomy_stats.cache_misses);
 }
 
 TEST(ReleaseService, EvictionCountersSplitLruFromTtl) {
@@ -302,8 +308,8 @@ TEST(ReleaseService, EvictionCountersSplitLruFromTtl) {
     config.epsilon_ceiling = 100.0;
     config.cache_capacity = 1;
     service::ReleaseService gsp(city.db, cloaker, config);
-    gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
-    gsp.serve_one({1, {4.0, 4.0}, 2.0, 0});  // same region, new radius
+    gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
+    gsp.serve_concurrent({1, {4.0, 4.0}, 2.0, 0});  // same region, new radius
     const service::ReleaseCacheStats cache = gsp.cache_stats();
     EXPECT_EQ(cache.misses, 2u);
     EXPECT_EQ(cache.evictions_lru, 1u);
@@ -320,14 +326,14 @@ TEST(ReleaseService, EvictionCountersSplitLruFromTtl) {
     config.epsilon_ceiling = 100.0;
     config.cache_ttl_epochs = 1;
     service::ReleaseService gsp(city.db, cloaker, config);
-    const auto first = gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
+    const auto first = gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
     EXPECT_FALSE(first.cache_hit);
     gsp.advance_epoch();
     const service::ReleaseCacheStats cache = gsp.cache_stats();
     EXPECT_EQ(cache.evictions_ttl, 1u);
     EXPECT_EQ(cache.evictions_lru, 0u);
     EXPECT_EQ(cache.entries, 0u);
-    const auto again = gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
+    const auto again = gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
     EXPECT_FALSE(again.cache_hit);
     EXPECT_EQ(gsp.cache_stats().misses, 2u);
   }
@@ -353,12 +359,12 @@ TEST(ReleaseService, SessionTtlRenewsBudget) {
   EXPECT_EQ(gsp.num_users(), 0u);
   EXPECT_DOUBLE_EQ(gsp.user_spent(7).epsilon, 0.0);
 
-  const auto renewed = gsp.serve_one({7, {4.0, 4.0}, 1.0, 0});
+  const auto renewed = gsp.serve_concurrent({7, {4.0, 4.0}, 1.0, 0});
   EXPECT_EQ(renewed.status, service::ReleaseStatus::kGranted);
   EXPECT_DOUBLE_EQ(gsp.user_spent(7).epsilon, 1.0);
   // The renewal re-created the session: the user is counted twice in
   // the lifetime counter, once in residency.
-  EXPECT_EQ(gsp.stats().users, 2u);
+  EXPECT_EQ(gsp.concurrent_stats().users, 2u);
   EXPECT_EQ(gsp.session_stats().sessions_created, 2u);
   EXPECT_EQ(gsp.num_users(), 1u);
 }
@@ -469,7 +475,7 @@ TEST(ReleaseService, RenewWindowRestoresBudgetWithoutEviction) {
 }
 
 TEST(ReleaseService, RenewalTurnsExhaustedIntoGrantsAcrossWaves) {
-  // The batch serve() path under w-event renewal: the same seeded trace
+  // serve() under w-event renewal: the same seeded trace
   // replayed in two waves, one epoch apart. Wave 0 runs users into the
   // low ceiling; the epoch boundary renews every resident budget in
   // place, so wave 1 is granted at least as often as wave 0.
@@ -490,12 +496,12 @@ TEST(ReleaseService, RenewalTurnsExhaustedIntoGrantsAcrossWaves) {
     std::uint64_t renewals = 0;
   };
   std::vector<Wave> waves;
-  service::ServiceStats before = gsp.stats();
+  service::ServiceStats before = gsp.concurrent_stats();
   std::uint64_t renewals_before = 0;
   for (std::size_t wave = 0; wave < 2; ++wave) {
     if (wave > 0) gsp.advance_epoch();
     ASSERT_EQ(gsp.serve(trace).size(), trace.size());
-    const service::ServiceStats after = gsp.stats();
+    const service::ServiceStats after = gsp.concurrent_stats();
     const std::uint64_t renewals_after = gsp.session_stats().renewals;
     waves.push_back({after.granted - before.granted,
                      after.budget_exhausted - before.budget_exhausted,
@@ -509,50 +515,6 @@ TEST(ReleaseService, RenewalTurnsExhaustedIntoGrantsAcrossWaves) {
   EXPECT_GE(waves[1].granted, waves[0].granted);
   EXPECT_EQ(gsp.session_stats().renewals,
             waves[0].renewals + waves[1].renewals);
-}
-
-TEST(ReleaseService, BatchSizeNeverChangesReleases) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  const auto trace = service::requests_of(
-      service::generate_workload(city, small_workload()));
-
-  const auto run = [&](std::size_t max_batch) {
-    service::ServiceConfig config = two_policy_config();
-    config.max_batch = max_batch;
-    service::ReleaseService gsp(city.db, cloaker, config);
-    const auto results = gsp.serve(trace);
-    return std::make_pair(results, gsp.stats());
-  };
-
-  const auto [one_by_one, stats_1] = run(1);
-  const auto [big_batch, stats_256] = run(256);
-  EXPECT_EQ(big_batch, one_by_one);
-  // Effective cache counters agree too: a batch-coalesced request counts
-  // as the hit it would have been served one-by-one.
-  EXPECT_EQ(stats_256.cache_hits, stats_1.cache_hits);
-  EXPECT_EQ(stats_256.cache_misses, stats_1.cache_misses);
-  EXPECT_GT(stats_1.batches, stats_256.batches);
-}
-
-TEST(ReleaseService, EnqueueFlushMatchesServe) {
-  const poi::City city = make_city();
-  const auto cloaker = make_cloaker(city.db);
-  const auto trace = repeat_request(5, 4);
-
-  service::ReleaseService served(city.db, cloaker, two_policy_config());
-  const auto direct = served.serve(trace);
-
-  service::ReleaseService queued(city.db, cloaker, two_policy_config());
-  for (const auto& request : trace) queued.enqueue(request);
-  EXPECT_EQ(queued.pending(), trace.size());  // below max_batch, no drain
-  const auto flushed = queued.flush();
-  EXPECT_EQ(queued.pending(), 0u);
-  EXPECT_EQ(flushed, direct);
-
-  // serve() refuses to interleave with a partially enqueued batch.
-  queued.enqueue(trace.front());
-  EXPECT_THROW(queued.serve(trace), std::logic_error);
 }
 
 TEST(ReleaseService, BitIdenticalAcrossThreadCounts) {
@@ -574,7 +536,7 @@ TEST(ReleaseService, BitIdenticalAcrossThreadCounts) {
     service::ReleaseService gsp(city.db, cloaker, two_policy_config());
     Pass pass;
     pass.results = gsp.serve(trace);
-    pass.stats = gsp.stats();
+    pass.stats = gsp.concurrent_stats();
     pass.cache = gsp.cache_stats();
     return pass;
   };
